@@ -58,8 +58,8 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 	}
 	srv.stream = newStreamServer(eng, srv.dedupe, ln)
 	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.stream.serve() }()
-	defer func() { srv.stream.shutdown(); <-done }()
+	go func() { defer close(done); _ = srv.stream.Serve() }()
+	defer func() { srv.stream.Shutdown(); <-done }()
 
 	const totalUpdates = 6000
 	cfg := loadtest.Config{
@@ -102,10 +102,11 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 		t.Fatalf("tenant counters sum to %d, client ACKed %d", tenantSum, res.Ingest.Updates)
 	}
 	// The listener's own counters saw the traffic.
-	if got := srv.stream.updates.Load(); got != res.Ingest.Updates {
+	st := srv.stream.Stats()
+	if got := st.Updates; got != res.Ingest.Updates {
 		t.Fatalf("stream listener counted %d updates, client ACKed %d", got, res.Ingest.Updates)
 	}
-	if srv.stream.frames.Load() == 0 || srv.stream.connsTotal.Load() == 0 {
+	if st.Frames == 0 || st.ConnsTotal == 0 {
 		t.Fatal("stream listener saw no frames/connections")
 	}
 

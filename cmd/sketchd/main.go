@@ -97,6 +97,7 @@ import (
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
 	"skimsketch/internal/monitor"
+	"skimsketch/internal/wire"
 )
 
 // options collects every flag so run is testable without a flag set.
@@ -226,7 +227,7 @@ func runMerger(ctx context.Context, opts options, out io.Writer) error {
 
 	// SKSP ingress: same binary protocol as a single node, frames
 	// hash-routed across the ring.
-	var fwd *cluster.StreamForwarder
+	var fwd *wire.Server
 	streamErr := make(chan error, 1)
 	if opts.streamAddr != "" {
 		sln, err := net.Listen("tcp", opts.streamAddr)
@@ -234,7 +235,7 @@ func runMerger(ctx context.Context, opts options, out io.Writer) error {
 			return err
 		}
 		fwd = cluster.NewStreamForwarder(m, sln)
-		fmt.Fprintf(out, "sketchd %s\n", fwd)
+		fmt.Fprintf(out, "sketchd sksp forwarder on %s (%d shards)\n", sln.Addr(), len(cfg.Shards))
 		go func() { streamErr <- fwd.Serve() }()
 	}
 
@@ -333,8 +334,8 @@ func runNode(ctx context.Context, opts options, out io.Writer) error {
 			return err
 		}
 		srv.stream = newStreamServer(eng, srv.dedupe, sln)
-		fmt.Fprintf(out, "sketchd %s\n", srv.stream)
-		go func() { streamErr <- srv.stream.serve() }()
+		fmt.Fprintf(out, "sketchd sksp listener on %s\n", sln.Addr())
+		go func() { streamErr <- srv.stream.Serve() }()
 	}
 
 	// Periodic checkpoints, stopped (and awaited) before the final save
@@ -421,7 +422,7 @@ func runNode(ctx context.Context, opts options, out io.Writer) error {
 	// ACKed frame is now in the ingest queues for the Flush below;
 	// un-ACKed frames will be replayed by their clients on reconnect.
 	if srv.stream != nil {
-		srv.stream.shutdown()
+		srv.stream.Shutdown()
 	}
 
 	// 2. Quiesce the periodic checkpointer, then drain the ingest

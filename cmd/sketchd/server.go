@@ -16,16 +16,12 @@ import (
 
 	"skimsketch/internal/cluster"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/httpapi"
 	"skimsketch/internal/monitor"
 	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 	"skimsketch/internal/wire"
 )
-
-// retryAfterSeconds is the Retry-After hint on 429 responses: the
-// ingest queues drain in well under a second unless a worker is wedged,
-// so one second is a safe client backoff.
-const retryAfterSeconds = 1
 
 // server wraps an engine with the HTTP API.
 type server struct {
@@ -63,7 +59,7 @@ type server struct {
 	dedupe *wire.Window
 	// stream is the SKSP listener, when -listen.stream enabled it; its
 	// counters render under /stats "stream".
-	stream *streamServer
+	stream *wire.Server
 }
 
 func newServer(eng *engine.Engine) *server {
@@ -107,7 +103,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if rest, ok := strings.CutPrefix(r.URL.Path, "/t/"); ok {
 		name, tail, found := strings.Cut(rest, "/")
 		if !found || name == "" {
-			writeErr(w, http.StatusNotFound, errors.New("tenant-scoped paths are /t/{tenant}/{endpoint}"))
+			httpapi.WriteErr(w, http.StatusNotFound, errors.New("tenant-scoped paths are /t/{tenant}/{endpoint}"))
 			return
 		}
 		tenant = name
@@ -117,14 +113,14 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if q := r.URL.Query().Get("tenant"); q != "" {
 		if tenant != "" && q != tenant {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("conflicting tenants %q (path) and %q (query)", tenant, q))
+			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("conflicting tenants %q (path) and %q (query)", tenant, q))
 			return
 		}
 		tenant = q
 	}
 	if tenant != "" {
 		if err := engine.ValidTenantName(tenant); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		r = r.WithContext(context.WithValue(r.Context(), tenantCtxKey{}, tenant))
@@ -167,14 +163,14 @@ func (s *server) scope(r *http.Request, bodyTenant string) (*engine.Tenant, erro
 // mean "ready", not merely "process exists".
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // recordUpdateLatency folds one /update handling duration into the
@@ -204,29 +200,16 @@ func (s *server) updateLatencySnapshot() map[string]any {
 	}
 }
 
-// writeJSON renders v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeErr renders an error payload.
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // writeEngineErr maps an engine registration/ingest error to the wire:
 // the whole ErrQuotaExceeded family becomes 429 with a Retry-After hint
 // (the universal "this tenant is over its share" signal clients already
 // back off on), everything else is a caller mistake (400).
 func writeEngineErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, engine.ErrQuotaExceeded) {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeErr(w, http.StatusTooManyRequests, err)
+		httpapi.WriteRetryable(w, http.StatusTooManyRequests, 0, err)
 		return
 	}
-	writeErr(w, http.StatusBadRequest, err)
+	httpapi.WriteErr(w, http.StatusBadRequest, err)
 }
 
 // decode parses the request body into v.
@@ -247,24 +230,24 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req streamReq
 		if err := decode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		t, err := s.scope(r, req.Tenant)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := t.DeclareStream(req.Name, req.Domain); err != nil {
 			writeEngineErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
+		httpapi.WriteJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 	case http.MethodGet:
 		t, _ := s.scope(r, "")
-		writeJSON(w, http.StatusOK, map[string]any{"streams": t.Streams()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"streams": t.Streams()})
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST or GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST or GET"))
 	}
 }
 
@@ -324,28 +307,28 @@ func (s *server) registerRangePredicate(def predicateDef) error {
 
 func (s *server) handlePredicates(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
 	var req predicateReq
 	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Max < req.Min {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("max %d below min %d", req.Max, req.Min))
+		httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("max %d below min %d", req.Max, req.Min))
 		return
 	}
 	t, err := s.scope(r, req.Tenant)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.registerRangePredicate(predicateDef{Tenant: t.Name(), Name: req.Name, Min: req.Min, Max: req.Max}); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 }
 
 type sideReq struct {
@@ -368,7 +351,7 @@ func (s *server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req queryReq
 		if err := decode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		var agg engine.Aggregate
@@ -378,12 +361,12 @@ func (s *server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		case "SUM":
 			agg = engine.Sum
 		default:
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown aggregate %q", req.Agg))
+			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown aggregate %q", req.Agg))
 			return
 		}
 		t, err := s.scope(r, req.Tenant)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		spec := engine.QuerySpec{
@@ -398,31 +381,31 @@ func (s *server) handleQueries(w http.ResponseWriter, r *http.Request) {
 			writeEngineErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
+		httpapi.WriteJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 	case http.MethodGet:
 		t, _ := s.scope(r, "")
-		writeJSON(w, http.StatusOK, map[string]any{"queries": t.Queries()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"queries": t.Queries()})
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST or GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST or GET"))
 	}
 }
 
 func (s *server) handleQueryByName(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/queries/")
 	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing query name"))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("missing query name"))
 		return
 	}
 	if r.Method != http.MethodDelete {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use DELETE"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use DELETE"))
 		return
 	}
 	t, _ := s.scope(r, "")
 	if err := t.RemoveQuery(name); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		httpapi.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 type updateReq struct {
@@ -462,7 +445,7 @@ func parseIdempotencyKey(r *http.Request) (client string, seq uint64, ok bool, e
 
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
 	// Every /update outcome — applied, rejected, malformed — is timed on
@@ -476,12 +459,12 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// nothing is always admissible.
 	idClient, idSeq, hasKey, err := parseIdempotencyKey(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if hasKey {
 		if out, ok := s.dedupe.Lookup(idClient, idSeq); ok {
-			writeJSON(w, http.StatusOK, map[string]any{"applied": out.Applied, "deduplicated": true})
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"applied": out.Applied, "deduplicated": true})
 			return
 		}
 	}
@@ -493,23 +476,20 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// applied, so the request is safely retryable.
 	if s.eng.IngestSaturated() {
 		s.eng.NoteRejected(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": "ingest queues full; retry after backoff",
-		})
+		httpapi.WriteRetryable(w, http.StatusTooManyRequests, 0, errors.New("ingest queues full; retry after backoff"))
 		return
 	}
 	// Accept a single object or a batch array.
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	var batch []updateReq
 	if err := json.Unmarshal(body, &batch); err != nil {
 		var one updateReq
 		if err := json.Unmarshal(body, &one); err != nil {
-			writeErr(w, http.StatusBadRequest, errors.New("expected a JSON update object or array of them"))
+			httpapi.WriteErr(w, http.StatusBadRequest, errors.New("expected a JSON update object or array of them"))
 			return
 		}
 		batch = []updateReq{one}
@@ -523,14 +503,14 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if bodyTenant != "" && u.Tenant != bodyTenant {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("batch mixes tenants %q and %q; one tenant per request", bodyTenant, u.Tenant))
+			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("batch mixes tenants %q and %q; one tenant per request", bodyTenant, u.Tenant))
 			return
 		}
 		bodyTenant = u.Tenant
 	}
 	t, err := s.scope(r, bodyTenant)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// Group the batch by stream (preserving per-stream order) and hand
@@ -557,7 +537,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// request with the failing stream named.
 	for _, g := range groups {
 		if err := t.ValidateBatch(g.Name, g.Updates); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
+			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{
 				"error":  err.Error(),
 				"stream": g.Name,
 			})
@@ -570,18 +550,17 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// whole batch" — the contract every retrying client assumes.
 	if err := t.IngestGroups(groups, nil); err != nil {
 		if errors.Is(err, engine.ErrQuotaExceeded) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+			httpapi.WriteRetryable(w, http.StatusTooManyRequests, 0, err)
 			return
 		}
 		// Unreachable in practice (validated above); report faithfully.
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		httpapi.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
 	if hasKey {
 		s.dedupe.Record(idClient, idSeq, wire.Outcome{Applied: int64(len(batch))})
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"applied": len(batch)})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]int{"applied": len(batch)})
 }
 
 // handleFlush drains the ingest pipeline (a no-op when ingestion is
@@ -590,30 +569,30 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // flush drains everyone — flush is a barrier, not a privilege.
 func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
 	s.eng.Flush()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	name := r.URL.Query().Get("query")
 	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?query="))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
 		return
 	}
 	t, _ := s.scope(r, "")
 	ans, err := t.Answer(name)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		httpapi.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"query":    ans.Query,
 		"agg":      ans.Agg.String(),
 		"estimate": ans.Estimate,
@@ -638,18 +617,18 @@ func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 // to a single node's.
 func (s *server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	name := r.URL.Query().Get("query")
 	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?query="))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
 		return
 	}
 	t, _ := s.scope(r, "")
 	qs, err := t.QuerySketches(name)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		httpapi.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	agg := cluster.AggCount
@@ -662,7 +641,7 @@ func (s *server) handleSketch(w http.ResponseWriter, r *http.Request) {
 		Left: qs.Left, Right: qs.Right,
 	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		httpapi.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -681,7 +660,7 @@ func (s *server) handleSketch(w http.ResponseWriter, r *http.Request) {
 // checkpoint), and success responses carry an exact Content-Length.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	produce := s.snapshot
@@ -690,7 +669,7 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	if err := produce(&buf); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		httpapi.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -705,7 +684,7 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // re-registered before restoring a snapshot that references them.
 func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
 	var err error
@@ -715,10 +694,10 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		err = s.eng.Restore(r.Body)
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // quotaJSON is the wire form of a tenant quota (0 = unlimited).
@@ -752,13 +731,13 @@ func tenantStatsJSON(st engine.TenantStats) map[string]any {
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	// A tenant-scoped /stats is just that tenant's slice — what a tenant
 	// harness reconciles its own counters against.
 	if tenant := requestTenant(r); tenant != "" {
-		writeJSON(w, http.StatusOK, tenantStatsJSON(s.eng.Tenant(tenant).Stats()))
+		httpapi.WriteJSON(w, http.StatusOK, tenantStatsJSON(s.eng.Tenant(tenant).Stats()))
 		return
 	}
 	st := s.eng.Stats()
@@ -795,9 +774,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// The SKSP listener's counters, when -listen.stream is on: the
 	// binary-protocol mirror of the HTTP ingest figures above.
 	if s.stream != nil {
-		resp["stream"] = s.stream.statsJSON()
+		resp["stream"] = struct {
+			wire.ServerStats
+			DedupeClients int `json:"dedupeClients"`
+		}{s.stream.Stats(), s.dedupe.Clients()}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // tenantReq configures one tenant: POST /tenants installs (or replaces)
@@ -820,20 +802,20 @@ func (s *server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		for _, name := range names {
 			out = append(out, tenantStatsJSON(st.Tenants[name]))
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"tenants": out})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"tenants": out})
 	case http.MethodPost:
 		var req tenantReq
 		if err := decode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := s.eng.SetQuota(req.Name, req.Quota); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 	}
 }
 
@@ -879,25 +861,25 @@ func (s *server) handleWatches(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		t, _ := s.scope(r, "")
-		writeJSON(w, http.StatusOK, map[string]any{"watches": watchListJSON(t.Watches())})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"watches": watchListJSON(t.Watches())})
 	case http.MethodPost:
 		var req watchReq
 		if err := decode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		t, err := s.scope(r, req.Tenant)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := t.RegisterWatch(engine.WatchSpec{Query: req.Query, High: req.High, Low: req.Low}); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
+		httpapi.WriteJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 	}
 }
 
@@ -908,32 +890,32 @@ func (s *server) handleWatchByName(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/watches/")
 	if name == "evaluate" {
 		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+			httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 			return
 		}
 		t, _ := s.scope(r, "")
 		sts, err := t.EvaluateWatches()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			httpapi.WriteErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"watches": watchListJSON(sts)})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"watches": watchListJSON(sts)})
 		return
 	}
 	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing watch query name"))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("missing watch query name"))
 		return
 	}
 	if r.Method != http.MethodDelete {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use DELETE"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use DELETE"))
 		return
 	}
 	t, _ := s.scope(r, "")
 	if err := t.RemoveWatch(name); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		httpapi.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // sketchdCheckpoint is the payload sketchd stores inside the SKCP

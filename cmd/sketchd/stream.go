@@ -2,24 +2,20 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"skimsketch/internal/engine"
+	"skimsketch/internal/httpapi"
 	"skimsketch/internal/wire"
 )
 
-// streamServer is the SKSP binary ingest listener (-listen.stream): a
-// persistent-connection TCP front end that decodes DATA frames into
-// pooled buffers and feeds them to the engine's multi-group ingest
-// path. It exists because JSON-over-HTTP pays for itself many times
-// over per update (request parsing, JSON decoding, per-request
-// allocation); SKSP amortizes all of it across a connection and
-// recycles every decode buffer through a sync.Pool, so steady-state
-// ingest allocates nothing per frame.
+// newStreamServer builds the SKSP binary ingest listener
+// (-listen.stream): the shared wire.Server skeleton with a handler that
+// feeds every DATA frame to the engine's multi-group ingest path. It
+// exists because JSON-over-HTTP pays for itself many times over per
+// update (request parsing, JSON decoding, per-request allocation); SKSP
+// amortizes all of it across a connection and recycles every decode
+// buffer, so steady-state ingest allocates almost nothing per frame.
 //
 // Reliability contract (the frame-level mirror of /update's):
 //
@@ -28,235 +24,62 @@ import (
 //     reconciliation.
 //   - REJECT means NOTHING was applied (global saturation or tenant
 //     quota): resend the same seq after the Retry-After hint.
-//   - ERROR is permanent (malformed frame, unknown stream, value out of
-//     domain): resending the same frame can never succeed.
+//   - ERROR is permanent (unknown stream, value out of domain, bad
+//     tenant name): resending the same frame can never succeed.
 //   - A (clientID, seq) already admitted is answered from the shared
 //     dedupe window with a duplicate ACK and applied nothing, which is
 //     what makes reconnect-with-replay exactly-once. The window is
 //     in-memory and bounded: replays must be prompt (a process restart
 //     or a very deep backlog forgets old seqs).
-type streamServer struct {
-	eng    *engine.Engine
-	dedupe *wire.Window
-	ln     net.Listener
+func newStreamServer(eng *engine.Engine, dedupe *wire.Window, ln net.Listener) *wire.Server {
+	return wire.NewServer(ln, func(d *wire.Data, release func()) wire.Reply {
+		// Everything the reply needs is copied out now: on successful
+		// admission the engine owns d until release fires, and the pool
+		// may hand d to another connection immediately after.
+		clientID, seq, tenant := d.ClientID, d.Seq, d.Tenant
+		var total int64
+		for i := range d.Groups {
+			total += int64(len(d.Groups[i].Updates))
+		}
 
-	// pool recycles decode buffers: each *wire.Data keeps its update
-	// slab and name intern table across frames, so a warm pool decodes
-	// with zero allocation. The engine's release callback returns the
-	// Data once the last shard worker has folded its groups.
-	pool sync.Pool
-
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	closing bool
-	wg      sync.WaitGroup
-
-	// Counters for /stats "stream" — the binary protocol's mirror of the
-	// HTTP ingest figures, so a harness can reconcile either path.
-	connsTotal atomic.Int64
-	connsOpen  atomic.Int64
-	frames     atomic.Int64
-	updates    atomic.Int64
-	duplicates atomic.Int64
-	rejected   atomic.Int64
-	errored    atomic.Int64
-}
-
-func newStreamServer(eng *engine.Engine, dedupe *wire.Window, ln net.Listener) *streamServer {
-	sv := &streamServer{
-		eng:    eng,
-		dedupe: dedupe,
-		ln:     ln,
-		conns:  make(map[net.Conn]struct{}),
-	}
-	sv.pool.New = func() any { return &wire.Data{} }
-	return sv
-}
-
-// serve accepts connections until the listener closes. The returned
-// error is nil on a requested shutdown.
-func (sv *streamServer) serve() error {
-	for {
-		nc, err := sv.ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
+		if out, ok := dedupe.Lookup(clientID, seq); ok {
+			// Replay of an admitted frame: the first ACK was lost in a
+			// disconnect. Answer from memory, apply nothing.
+			release()
+			return wire.Reply{Type: wire.FrameAck, Seq: seq, Applied: out.Applied, Duplicate: true}
+		}
+		if tenant != "" {
+			if err := engine.ValidTenantName(tenant); err != nil {
+				release()
+				return wire.Reply{Type: wire.FrameError, Seq: seq, Msg: err.Error()}
 			}
-			return err
+		} else {
+			tenant = engine.DefaultTenant
 		}
-		sv.mu.Lock()
-		if sv.closing {
-			sv.mu.Unlock()
-			nc.Close()
-			continue
+		reject := wire.Reply{Type: wire.FrameReject, Seq: seq, RetryAfter: httpapi.RetryAfterSeconds}
+		if eng.IngestSaturated() {
+			eng.NoteRejected(1)
+			release()
+			return reject
 		}
-		sv.conns[nc] = struct{}{}
-		sv.wg.Add(1)
-		sv.mu.Unlock()
-		sv.connsTotal.Add(1)
-		sv.connsOpen.Add(1)
-		go func() {
-			defer sv.wg.Done()
-			defer sv.connsOpen.Add(-1)
-			sv.serveConn(nc)
-			sv.mu.Lock()
-			delete(sv.conns, nc)
-			sv.mu.Unlock()
-			nc.Close()
-		}()
-	}
-}
-
-// shutdown drains the listener: stop accepting, close every
-// connection, wait for the handlers to finish their in-flight frame.
-// Once it returns, every ACKed frame sits in the ingest queues — the
-// caller's eng.Flush() folds them before the final checkpoint. Clients
-// mid-frame never got an ACK and will replay on reconnect.
-func (sv *streamServer) shutdown() {
-	sv.ln.Close()
-	sv.mu.Lock()
-	sv.closing = true
-	for nc := range sv.conns {
-		nc.Close()
-	}
-	sv.mu.Unlock()
-	sv.wg.Wait()
-}
-
-// serveConn runs one SKSP session: header exchange, then a frame loop.
-// Any protocol violation ends the session — the framing's CRC and
-// length checks mean a violation is a broken peer, not a recoverable
-// hiccup.
-func (sv *streamServer) serveConn(nc net.Conn) {
-	const headerTimeout = 5 * time.Second // slow-header guard, like http.Server's
-	rd := wire.NewReader(nc)
-	w := wire.NewWriter(nc)
-	nc.SetReadDeadline(time.Now().Add(headerTimeout))
-	if err := rd.ReadHeader(); err != nil {
-		return
-	}
-	nc.SetReadDeadline(time.Time{})
-	if err := w.WriteHeader(); err != nil || w.Flush() != nil {
-		return
-	}
-	for {
-		ft, payload, err := rd.Next()
-		if err != nil {
-			return // client closed, or the connection broke
+		// Atomic admission, same contract as /update: every group
+		// validated and the quota checked against the whole frame before
+		// anything is applied. On success the engine fires release once
+		// the last shard worker is done with d.
+		err := eng.Tenant(tenant).IngestGroups(d.Groups, release)
+		switch {
+		case err == nil:
+			dedupe.Record(clientID, seq, wire.Outcome{Applied: total})
+			return wire.Reply{Type: wire.FrameAck, Seq: seq, Applied: total}
+		case errors.Is(err, engine.ErrQuotaExceeded):
+			// Retryable: nothing was admitted, and the deliberately
+			// unrecorded seq stays replayable.
+			release()
+			return reject
+		default:
+			// Unknown stream / out-of-domain value: permanent.
+			release()
+			return wire.Reply{Type: wire.FrameError, Seq: seq, Msg: err.Error()}
 		}
-		if ft != wire.FrameData {
-			return // clients only send DATA
-		}
-		sv.frames.Add(1)
-		if !sv.handleData(payload, w) {
-			return
-		}
-	}
-}
-
-// handleData decodes and admits one DATA frame, writing exactly one
-// response frame. Returns false to drop the connection (encode errors
-// or an unwritable socket).
-func (sv *streamServer) handleData(payload []byte, w *wire.Writer) bool {
-	d := sv.pool.Get().(*wire.Data)
-	if err := wire.DecodeData(payload, d); err != nil {
-		// Framing passed CRC but the payload is malformed: broken peer.
-		sv.pool.Put(d)
-		sv.errored.Add(1)
-		return false
-	}
-	// Everything the response needs is copied out now: on successful
-	// admission the engine owns d until its release fires, and the pool
-	// may hand d to another connection immediately after.
-	clientID, seq, tenant := d.ClientID, d.Seq, d.Tenant
-	var total int64
-	for i := range d.Groups {
-		total += int64(len(d.Groups[i].Updates))
-	}
-
-	if out, ok := sv.dedupe.Lookup(clientID, seq); ok {
-		// Replay of an admitted frame: the first ACK was lost in a
-		// disconnect. Answer from memory, apply nothing.
-		sv.pool.Put(d)
-		sv.duplicates.Add(1)
-		return sv.reply(w, func() error {
-			return w.WriteAck(wire.Ack{Seq: seq, Applied: out.Applied, Duplicate: true})
-		})
-	}
-	if tenant != "" {
-		if err := engine.ValidTenantName(tenant); err != nil {
-			sv.pool.Put(d)
-			sv.errored.Add(1)
-			return sv.reply(w, func() error {
-				return w.WriteError(wire.ErrorFrame{Seq: seq, Msg: err.Error()})
-			})
-		}
-	} else {
-		tenant = engine.DefaultTenant
-	}
-	if sv.eng.IngestSaturated() {
-		sv.eng.NoteRejected(1)
-		sv.pool.Put(d)
-		sv.rejected.Add(1)
-		return sv.reply(w, func() error {
-			return w.WriteReject(wire.Reject{Seq: seq, RetryAfter: retryAfterSeconds})
-		})
-	}
-	// Atomic admission, same contract as /update: every group validated
-	// and the quota checked against the whole frame before anything is
-	// applied. The release callback recycles the decode buffers once the
-	// last shard worker is done with them — d must not be touched after
-	// a successful return.
-	err := sv.eng.Tenant(tenant).IngestGroups(d.Groups, func() { sv.pool.Put(d) })
-	switch {
-	case err == nil:
-		sv.updates.Add(total)
-		sv.dedupe.Record(clientID, seq, wire.Outcome{Applied: total})
-		return sv.reply(w, func() error {
-			return w.WriteAck(wire.Ack{Seq: seq, Applied: total})
-		})
-	case errors.Is(err, engine.ErrQuotaExceeded):
-		// Retryable: nothing was admitted, and the deliberately
-		// unrecorded seq stays replayable.
-		sv.pool.Put(d)
-		sv.rejected.Add(1)
-		return sv.reply(w, func() error {
-			return w.WriteReject(wire.Reject{Seq: seq, RetryAfter: retryAfterSeconds})
-		})
-	default:
-		// Unknown stream / out-of-domain value: permanent.
-		sv.pool.Put(d)
-		sv.errored.Add(1)
-		return sv.reply(w, func() error {
-			return w.WriteError(wire.ErrorFrame{Seq: seq, Msg: err.Error()})
-		})
-	}
-}
-
-// reply writes and flushes one response frame; false drops the session.
-func (sv *streamServer) reply(w *wire.Writer, write func() error) bool {
-	if err := write(); err != nil {
-		return false
-	}
-	return w.Flush() == nil
-}
-
-// statsJSON renders the listener's counters for /stats.
-func (sv *streamServer) statsJSON() map[string]any {
-	return map[string]any{
-		"addr":          sv.ln.Addr().String(),
-		"conns":         sv.connsOpen.Load(),
-		"connsTotal":    sv.connsTotal.Load(),
-		"frames":        sv.frames.Load(),
-		"updates":       sv.updates.Load(),
-		"duplicates":    sv.duplicates.Load(),
-		"rejected":      sv.rejected.Load(),
-		"errors":        sv.errored.Load(),
-		"dedupeClients": sv.dedupe.Clients(),
-	}
-}
-
-// String implements fmt.Stringer for the boot banner.
-func (sv *streamServer) String() string {
-	return fmt.Sprintf("sksp listener on %s", sv.ln.Addr())
+	})
 }

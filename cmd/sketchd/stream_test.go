@@ -285,7 +285,7 @@ func nUpdates(s string, n int) string {
 
 // streamListener boots the SKSP listener over a pipelined engine and
 // returns its address plus the server for counter inspection.
-func streamListener(t *testing.T, eng *engine.Engine, dedupe *wire.Window) (*streamServer, string) {
+func streamListener(t *testing.T, eng *engine.Engine, dedupe *wire.Window) (*wire.Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -293,8 +293,8 @@ func streamListener(t *testing.T, eng *engine.Engine, dedupe *wire.Window) (*str
 	}
 	sv := newStreamServer(eng, dedupe, ln)
 	done := make(chan struct{})
-	go func() { defer close(done); _ = sv.serve() }()
-	t.Cleanup(func() { sv.shutdown(); <-done })
+	go func() { defer close(done); _ = sv.Serve() }()
+	t.Cleanup(func() { sv.Shutdown(); <-done })
 	return sv, ln.Addr().String()
 }
 
@@ -379,8 +379,8 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 		t.Fatalf("capped F = %d, want 0", n)
 	}
 
-	if sv.frames.Load() == 0 || sv.rejected.Load() != 2 || sv.errored.Load() != 1 {
-		t.Fatalf("listener counters: %+v", sv.statsJSON())
+	if st := sv.Stats(); st.Frames == 0 || st.Rejected != 2 || st.Errors != 1 {
+		t.Fatalf("listener counters: %+v", st)
 	}
 }
 
@@ -482,7 +482,7 @@ func TestStreamDrainKeepsAckedFrames(t *testing.T) {
 	}
 	sv := newStreamServer(eng, wire.NewWindow(0, 0), ln)
 	done := make(chan struct{})
-	go func() { defer close(done); _ = sv.serve() }()
+	go func() { defer close(done); _ = sv.Serve() }()
 
 	c := client.New(ln.Addr().String(), client.Options{Backoff: fastClientBackoff()})
 	const batches = 20
@@ -498,7 +498,7 @@ func TestStreamDrainKeepsAckedFrames(t *testing.T) {
 	}
 	// The shutdown sequence main.go runs: drain the listener, then the
 	// ingest pipeline.
-	sv.shutdown()
+	sv.Shutdown()
 	<-done
 	eng.Flush()
 	eng.StopIngest()

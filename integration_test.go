@@ -106,13 +106,12 @@ func TestAllPathsAgreeOnTheSameQuery(t *testing.T) {
 	plain := core.MustNewHashSketch(cfg)
 	stream.Apply(updates, plain)
 
-	in, err := distributed.NewIngestor(3, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Shard round-robin into three sketches and merge them back.
+	shards := []*core.HashSketch{core.MustNewHashSketch(cfg), core.MustNewHashSketch(cfg), core.MustNewHashSketch(cfg)}
+	for i, u := range updates {
+		shards[i%len(shards)].Update(u.Value, u.Weight)
 	}
-	stream.Apply(updates, in)
-	in.Close()
-	merged, err := in.Merged()
+	merged, err := distributed.Merge(shards...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,8 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/distributed"
+	"skimsketch/internal/httpapi"
+	"skimsketch/internal/wire"
 )
 
 // Merger is the cluster's front tier: an http.Handler that hash-routes
@@ -69,16 +71,10 @@ type Merger struct {
 	pullFailures   atomic.Int64
 	start          time.Time
 
-	// stream is the SKSP ingress forwarder, when one is attached; its
-	// counters render under /stats "stream".
-	stream *StreamForwarder
+	// stream is the SKSP ingress (NewStreamForwarder), when one is
+	// attached; its counters render under /stats "stream".
+	stream *wire.Server
 }
-
-// mergerRetryAfterSeconds is the Retry-After hint the merger attaches
-// to its own 429/503 responses when the shards did not supply a larger
-// one: cross-node retries are more expensive than local ones, so the
-// floor matches sketchd's single-node hint.
-const mergerRetryAfterSeconds = 1
 
 // maxPayloadBytes caps one shard's SKSL response. The largest sensible
 // payload (two 64×(1<<18) sketches) is well under this; a response
@@ -172,9 +168,6 @@ func NewMerger(cfg Config, opts MergerOptions) (*Merger, error) {
 // SetDraining flips the readiness probe to 503 during shutdown drain.
 func (m *Merger) SetDraining() { m.draining.Store(true) }
 
-// AttachStream registers a StreamForwarder for /stats reporting.
-func (m *Merger) AttachStream(f *StreamForwarder) { m.stream = f }
-
 // Shards returns the membership list (a copy).
 func (m *Merger) Shards() []Shard { return append([]Shard(nil), m.cfg.Shards...) }
 
@@ -186,7 +179,7 @@ func (m *Merger) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if rest, ok := strings.CutPrefix(r.URL.Path, "/t/"); ok {
 		name, tail, found := strings.Cut(rest, "/")
 		if !found || name == "" {
-			mWriteErr(w, http.StatusNotFound, errors.New("tenant-scoped paths are /t/{tenant}/{endpoint}"))
+			httpapi.WriteErr(w, http.StatusNotFound, errors.New("tenant-scoped paths are /t/{tenant}/{endpoint}"))
 			return
 		}
 		tenant = name
@@ -196,7 +189,7 @@ func (m *Merger) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if q := r.URL.Query().Get("tenant"); q != "" {
 		if tenant != "" && q != tenant {
-			mWriteErr(w, http.StatusBadRequest, fmt.Errorf("conflicting tenants %q (path) and %q (query)", tenant, q))
+			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("conflicting tenants %q (path) and %q (query)", tenant, q))
 			return
 		}
 		tenant = q
@@ -212,32 +205,6 @@ type mergerTenantKey struct{}
 func mergerTenant(r *http.Request) string {
 	t, _ := r.Context().Value(mergerTenantKey{}).(string)
 	return t
-}
-
-func mWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func mWriteErr(w http.ResponseWriter, status int, err error) {
-	mWriteJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// writeRetryable renders a 429 or 503 with its Retry-After hint — the
-// pair travels together so well-behaved clients never fall back to
-// blind backoff.
-func writeRetryable(w http.ResponseWriter, status int, after time.Duration, err error) {
-	secs := int(after / time.Second)
-	if secs < mergerRetryAfterSeconds {
-		secs = mergerRetryAfterSeconds
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	if status == http.StatusTooManyRequests {
-		mWriteErr(w, http.StatusTooManyRequests, err)
-		return
-	}
-	mWriteErr(w, status, err)
 }
 
 // shardURL builds a shard API URL with the tenant (if any) and extra
@@ -301,7 +268,7 @@ func (m *Merger) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		status, body, hdr, err := m.forward(r.Context(), http.MethodGet, m.shardURL(m.cfg.Shards[0], r.URL.Path, tenant, nil), nil, nil)
 		if err != nil {
-			writeRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("shard %s: %w", m.cfg.Shards[0].Name, err))
+			httpapi.WriteRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("shard %s: %w", m.cfg.Shards[0].Name, err))
 			return
 		}
 		copyResponse(w, status, body, hdr)
@@ -309,7 +276,7 @@ func (m *Merger) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxPayloadBytes+1))
 	if err != nil || len(body) > maxPayloadBytes {
-		mWriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
 		return
 	}
 	type result struct {
@@ -335,14 +302,14 @@ func (m *Merger) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	// first shard-side refusal, then success.
 	for _, res := range results {
 		if res.err != nil {
-			writeRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("shard %s: %w", res.shard.Name, res.err))
+			httpapi.WriteRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("shard %s: %w", res.shard.Name, res.err))
 			return
 		}
 	}
 	for _, res := range results {
 		if res.status >= 300 {
 			if res.status == http.StatusTooManyRequests {
-				writeRetryable(w, http.StatusTooManyRequests, distributed.ParseRetryAfter(res.header.Get("Retry-After"), m.now()), fmt.Errorf("shard %s refused", res.shard.Name))
+				httpapi.WriteRetryable(w, http.StatusTooManyRequests, distributed.ParseRetryAfter(res.header.Get("Retry-After"), m.now()), fmt.Errorf("shard %s refused", res.shard.Name))
 				return
 			}
 			copyResponse(w, res.status, res.body, res.header)
@@ -381,20 +348,20 @@ type mergerUpdate struct {
 // attempt half-landed.
 func (m *Merger) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
 	m.updateCalls.Add(1)
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxPayloadBytes+1))
 	if err != nil || len(body) > maxPayloadBytes {
-		mWriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
 		return
 	}
 	var batch []mergerUpdate
 	if err := json.Unmarshal(body, &batch); err != nil {
 		var one mergerUpdate
 		if err := json.Unmarshal(body, &one); err != nil {
-			mWriteErr(w, http.StatusBadRequest, errors.New("expected a JSON update object or array of them"))
+			httpapi.WriteErr(w, http.StatusBadRequest, errors.New("expected a JSON update object or array of them"))
 			return
 		}
 		batch = []mergerUpdate{one}
@@ -405,7 +372,7 @@ func (m *Merger) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if tenant != "" && u.Tenant != tenant {
-			mWriteErr(w, http.StatusBadRequest, fmt.Errorf("batch mixes tenants %q and %q; one tenant per request", tenant, u.Tenant))
+			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("batch mixes tenants %q and %q; one tenant per request", tenant, u.Tenant))
 			return
 		}
 		tenant = u.Tenant
@@ -424,10 +391,10 @@ func (m *Merger) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			copyResponse(w, out.status, out.body, out.header)
 		case fanRejected:
 			m.updateRejected.Add(1)
-			writeRetryable(w, http.StatusTooManyRequests, out.retryAfter, out.err)
+			httpapi.WriteRetryable(w, http.StatusTooManyRequests, out.retryAfter, out.err)
 		default:
 			m.updateRejected.Add(1)
-			writeRetryable(w, http.StatusServiceUnavailable, out.retryAfter, out.err)
+			httpapi.WriteRetryable(w, http.StatusServiceUnavailable, out.retryAfter, out.err)
 		}
 		return
 	}
@@ -436,7 +403,7 @@ func (m *Merger) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if out.allDup {
 		resp["deduplicated"] = true
 	}
-	mWriteJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // deriveKey scopes a client idempotency key "client:seq" to one shard:
@@ -690,12 +657,12 @@ func (m *Merger) globalAnswer(ctx context.Context, tenant, query string) (map[st
 
 func (m *Merger) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	query := r.URL.Query().Get("query")
 	if query == "" {
-		mWriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
 		return
 	}
 	tenant := mergerTenant(r)
@@ -707,17 +674,17 @@ func (m *Merger) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		m.cacheMu.Unlock()
 		if ok && m.now().Sub(c.at) < m.epoch {
 			m.answersCached.Add(1)
-			mWriteJSON(w, http.StatusOK, c.resp)
+			httpapi.WriteJSON(w, http.StatusOK, c.resp)
 			return
 		}
 	}
 	resp, status, err := m.globalAnswer(r.Context(), tenant, query)
 	if err != nil {
 		if status == http.StatusServiceUnavailable {
-			writeRetryable(w, status, 0, err)
+			httpapi.WriteRetryable(w, status, 0, err)
 			return
 		}
-		mWriteErr(w, status, err)
+		httpapi.WriteErr(w, status, err)
 		return
 	}
 	if deg, _ := resp["confidence"].(map[string]any)["degraded"].(bool); deg {
@@ -728,7 +695,7 @@ func (m *Merger) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		m.cache[key] = cachedAnswer{resp: resp, at: m.now()}
 		m.cacheMu.Unlock()
 	}
-	mWriteJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSketch serves the MERGED global SKSL payload for a query — the
@@ -738,12 +705,12 @@ func (m *Merger) handleAnswer(w http.ResponseWriter, r *http.Request) {
 // an error, mirroring /answer.
 func (m *Merger) handleSketch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	query := r.URL.Query().Get("query")
 	if query == "" {
-		mWriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
 		return
 	}
 	tenant := mergerTenant(r)
@@ -764,17 +731,17 @@ func (m *Merger) handleSketch(w http.ResponseWriter, r *http.Request) {
 		rightEpoch += pr.payload.RightEpoch
 	}
 	if ref == nil {
-		writeRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("no shard answered for query %q", query))
+		httpapi.WriteRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("no shard answered for query %q", query))
 		return
 	}
 	mergedL, err := distributed.Merge(lefts...)
 	if err != nil {
-		mWriteErr(w, http.StatusInternalServerError, err)
+		httpapi.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	mergedR, err := distributed.Merge(rights...)
 	if err != nil {
-		mWriteErr(w, http.StatusInternalServerError, err)
+		httpapi.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	blob, err := EncodePayload(&Payload{
@@ -783,7 +750,7 @@ func (m *Merger) handleSketch(w http.ResponseWriter, r *http.Request) {
 		Left: mergedL, Right: mergedR,
 	})
 	if err != nil {
-		mWriteErr(w, http.StatusInternalServerError, err)
+		httpapi.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -795,7 +762,7 @@ func (m *Merger) handleSketch(w http.ResponseWriter, r *http.Request) {
 
 func (m *Merger) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	shards := make([]map[string]any, 0, len(m.cfg.Shards))
@@ -823,19 +790,19 @@ func (m *Merger) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptimeSeconds": time.Since(m.start).Seconds(),
 	}
 	if m.stream != nil {
-		resp["stream"] = m.stream.statsJSON()
+		resp["stream"] = m.stream.Stats()
 	}
-	mWriteJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (m *Merger) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	if m.draining.Load() {
-		mWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	mWriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

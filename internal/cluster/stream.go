@@ -2,21 +2,21 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
-	"time"
 
+	"skimsketch/internal/httpapi"
 	"skimsketch/internal/wire"
 )
 
-// StreamForwarder is the merger's SKSP ingress: it speaks the binary
-// streaming protocol to clients exactly like a single sketchd
-// (docs/FORMATS.md), but instead of applying DATA frames locally it
-// hash-routes each update across the shard ring and forwards the
-// per-shard sub-batches over HTTP /update.
+// NewStreamForwarder builds the merger's SKSP ingress on a listener the
+// caller opened: the shared wire.Server skeleton, so it speaks the
+// binary streaming protocol to clients exactly like a single sketchd
+// (docs/FORMATS.md). Instead of applying DATA frames locally, its
+// handler hash-routes each update across the shard ring and forwards
+// the per-shard sub-batches over HTTP /update. Its counters render
+// under the merger's /stats "stream". Call Serve to start accepting and
+// Shutdown to drain.
 //
 // The reliability contract is preserved end to end without merger-side
 // state: the client's (clientID, seq) identity is derived per shard
@@ -26,128 +26,25 @@ import (
 // apply it — so the replay converges on exactly-once without the merger
 // remembering anything across its own restarts.
 //
-//   - ACK: every involved shard admitted its slice.
+//   - ACK: every involved shard admitted its slice (a duplicate ACK when
+//     every shard answered from its dedupe window).
 //   - REJECT: some shard was saturated or unreachable; NOTHING may be
 //     assumed applied — resend the same seq after RetryAfter (the
 //     derived keys make the resend safe on shards that did apply).
 //   - ERROR: some shard refused permanently (unknown stream,
 //     out-of-domain value); resending cannot succeed.
-type StreamForwarder struct {
-	m  *Merger
-	ln net.Listener
-
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	closing bool
-	wg      sync.WaitGroup
-
-	connsTotal atomic.Int64
-	connsOpen  atomic.Int64
-	frames     atomic.Int64
-	forwarded  atomic.Int64
-	rejected   atomic.Int64
-	errored    atomic.Int64
+func NewStreamForwarder(m *Merger, ln net.Listener) *wire.Server {
+	m.stream = wire.NewServer(ln, m.forwardFrame)
+	return m.stream
 }
 
-// NewStreamForwarder wires a forwarder to a merger and a listener the
-// caller opened. Call Serve to start accepting and Shutdown to drain.
-func NewStreamForwarder(m *Merger, ln net.Listener) *StreamForwarder {
-	f := &StreamForwarder{m: m, ln: ln, conns: make(map[net.Conn]struct{})}
-	m.AttachStream(f)
-	return f
-}
-
-// Serve accepts connections until the listener closes. The returned
-// error is nil on a requested shutdown.
-func (f *StreamForwarder) Serve() error {
-	for {
-		nc, err := f.ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		f.mu.Lock()
-		if f.closing {
-			f.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		f.conns[nc] = struct{}{}
-		f.wg.Add(1)
-		f.mu.Unlock()
-		f.connsTotal.Add(1)
-		f.connsOpen.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer f.connsOpen.Add(-1)
-			f.serveConn(nc)
-			f.mu.Lock()
-			delete(f.conns, nc)
-			f.mu.Unlock()
-			nc.Close()
-		}()
-	}
-}
-
-// Shutdown drains the listener: stop accepting, close every
-// connection, wait for handlers to finish their in-flight frame. A
-// client mid-frame never got an ACK and replays on reconnect; the
-// derived shard keys make that replay exactly-once.
-func (f *StreamForwarder) Shutdown() {
-	f.ln.Close()
-	f.mu.Lock()
-	f.closing = true
-	for nc := range f.conns {
-		nc.Close()
-	}
-	f.mu.Unlock()
-	f.wg.Wait()
-}
-
-// serveConn runs one SKSP session: header exchange, then a frame loop.
-func (f *StreamForwarder) serveConn(nc net.Conn) {
-	const headerTimeout = 5 * time.Second
-	rd := wire.NewReader(nc)
-	w := wire.NewWriter(nc)
-	nc.SetReadDeadline(time.Now().Add(headerTimeout))
-	if err := rd.ReadHeader(); err != nil {
-		return
-	}
-	nc.SetReadDeadline(time.Time{})
-	if err := w.WriteHeader(); err != nil || w.Flush() != nil {
-		return
-	}
-	for {
-		ft, payload, err := rd.Next()
-		if err != nil {
-			return
-		}
-		if ft != wire.FrameData {
-			return
-		}
-		f.frames.Add(1)
-		if !f.handleData(payload, w) {
-			return
-		}
-	}
-}
-
-// handleData decodes one DATA frame, routes it across the ring, and
-// writes exactly one response frame.
-func (f *StreamForwarder) handleData(payload []byte, w *wire.Writer) bool {
-	var d wire.Data
-	if err := wire.DecodeData(payload, &d); err != nil {
-		f.errored.Add(1)
-		return false // framing passed CRC but the payload is malformed: broken peer
-	}
-	tenant := d.Tenant
+// forwardFrame routes one decoded DATA frame across the ring.
+func (m *Merger) forwardFrame(d *wire.Data, release func()) wire.Reply {
 	perShard := make(map[int][]mergerUpdate)
 	var total int64
 	for _, g := range d.Groups {
 		for _, u := range g.Updates {
-			si := f.m.cfg.Route(tenant, g.Name, u.Value)
+			si := m.cfg.Route(d.Tenant, g.Name, u.Value)
 			weight := u.Weight
 			perShard[si] = append(perShard[si], mergerUpdate{Stream: g.Name, Value: u.Value, Weight: &weight})
 			total++
@@ -156,57 +53,20 @@ func (f *StreamForwarder) handleData(payload []byte, w *wire.Writer) bool {
 	// The frame's (clientID, seq) becomes the per-shard idempotency
 	// identity, so shard dedupe windows carry the exactly-once promise
 	// across merger restarts and frame replays.
-	baseKey := fmt.Sprintf("%s:%d", d.ClientID, d.Seq)
-	ctx, cancel := context.WithTimeout(context.Background(), f.m.timeout)
-	out := f.m.fanOutUpdate(ctx, tenant, perShard, baseKey)
+	tenant, seq := d.Tenant, d.Seq
+	baseKey := fmt.Sprintf("%s:%d", d.ClientID, seq)
+	release() // perShard holds copies; d is not needed past this point
+	ctx, cancel := context.WithTimeout(context.Background(), m.timeout)
+	out := m.fanOutUpdate(ctx, tenant, perShard, baseKey)
 	cancel()
 	switch {
 	case out.err == nil:
-		f.forwarded.Add(total)
-		return f.reply(w, func() error {
-			return w.WriteAck(wire.Ack{Seq: d.Seq, Applied: total, Duplicate: out.allDup})
-		})
+		return wire.Reply{Type: wire.FrameAck, Seq: seq, Applied: total, Duplicate: out.allDup}
 	case out.kind == fanPermanent:
-		f.errored.Add(1)
-		return f.reply(w, func() error {
-			return w.WriteError(wire.ErrorFrame{Seq: d.Seq, Msg: out.err.Error()})
-		})
+		return wire.Reply{Type: wire.FrameError, Seq: seq, Msg: out.err.Error()}
 	default:
 		// Saturated or unreachable shard: retryable. The hint is the
 		// largest shard Retry-After, floored at the merger's own.
-		f.rejected.Add(1)
-		secs := uint32(out.retryAfter / time.Second)
-		if secs < mergerRetryAfterSeconds {
-			secs = mergerRetryAfterSeconds
-		}
-		return f.reply(w, func() error {
-			return w.WriteReject(wire.Reject{Seq: d.Seq, RetryAfter: secs})
-		})
+		return wire.Reply{Type: wire.FrameReject, Seq: seq, RetryAfter: uint32(httpapi.RetryAfter(out.retryAfter))}
 	}
-}
-
-// reply writes and flushes one response frame; false drops the session.
-func (f *StreamForwarder) reply(w *wire.Writer, write func() error) bool {
-	if err := write(); err != nil {
-		return false
-	}
-	return w.Flush() == nil
-}
-
-// statsJSON renders the forwarder's counters for the merger's /stats.
-func (f *StreamForwarder) statsJSON() map[string]any {
-	return map[string]any{
-		"addr":       f.ln.Addr().String(),
-		"conns":      f.connsOpen.Load(),
-		"connsTotal": f.connsTotal.Load(),
-		"frames":     f.frames.Load(),
-		"forwarded":  f.forwarded.Load(),
-		"rejected":   f.rejected.Load(),
-		"errors":     f.errored.Load(),
-	}
-}
-
-// String implements fmt.Stringer for the boot banner.
-func (f *StreamForwarder) String() string {
-	return fmt.Sprintf("sksp forwarder on %s (%d shards)", f.ln.Addr(), len(f.m.cfg.Shards))
 }

@@ -1,87 +1,13 @@
 package distributed
 
 import (
-	"sync"
 	"testing"
 
 	"skimsketch/internal/core"
-	"skimsketch/internal/stream"
 	"skimsketch/internal/workload"
 )
 
 func cfg(d, b int, seed uint64) core.Config { return core.Config{Tables: d, Buckets: b, Seed: seed} }
-
-func TestNewIngestorValidation(t *testing.T) {
-	if _, err := NewIngestor(0, cfg(3, 8, 1)); err == nil {
-		t.Fatal("expected error for zero workers")
-	}
-	if _, err := NewIngestor(2, cfg(0, 8, 1)); err == nil {
-		t.Fatal("expected error for bad config")
-	}
-}
-
-func TestMergedRequiresClose(t *testing.T) {
-	in, err := NewIngestor(2, cfg(3, 8, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Merged(); err == nil {
-		t.Fatal("expected error before Close")
-	}
-	in.Close()
-	in.Close() // idempotent
-	if _, err := in.Merged(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestParallelIngestEqualsSerial: the merged shard sketch must be
-// bit-identical to a serial sketch of the same stream.
-func TestParallelIngestEqualsSerial(t *testing.T) {
-	c := cfg(5, 128, 7)
-	g, _ := workload.NewZipf(1024, 1.1, 3)
-	updates := workload.MakeStream(g, 50000)
-	updates = workload.WithDeletes(updates, 0.2, 9)
-
-	serial := core.MustNewHashSketch(c)
-	stream.Apply(updates, serial)
-
-	in, err := NewIngestor(4, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Concurrent producers.
-	var wg sync.WaitGroup
-	const producers = 3
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < len(updates); i += producers {
-				in.Update(updates[i].Value, updates[i].Weight)
-			}
-		}(p)
-	}
-	wg.Wait()
-	in.Close()
-	merged, err := in.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Workers() != 4 {
-		t.Fatalf("Workers = %d", in.Workers())
-	}
-	for j := 0; j < 5; j++ {
-		for k := 0; k < 128; k++ {
-			if merged.Counter(j, k) != serial.Counter(j, k) {
-				t.Fatal("parallel-ingested sketch must equal the serial one")
-			}
-		}
-	}
-	if merged.NetCount() != serial.NetCount() || merged.GrossCount() != serial.GrossCount() {
-		t.Fatal("counts must merge too")
-	}
-}
 
 func TestMergeValidation(t *testing.T) {
 	if _, err := Merge(); err == nil {

@@ -8,15 +8,13 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"skimsketch/internal/core"
 )
 
-// Backoff is a jittered-exponential retry policy for shipping sketches
-// between sites. Remote-site merge (the SF-sketch-style deployment in
-// the package comment) rides on flaky links: a shard sketch that fails
-// to reach the merger is simply retried — sketches are idempotent state,
-// not deltas, so re-sending the same blob is always safe.
+// Backoff is the jittered-exponential retry policy every cross-node
+// call shares: the merger pulling shard sketches, the load harness
+// resending a 429ed /update, and the SKSP client resending a REJECTed
+// frame. Each retried call must be idempotent — a pulled sketch is
+// absolute state, and a resent batch carries the same dedupe identity.
 //
 // The zero value is usable: 100ms base delay, doubling, capped at 5s,
 // half of every delay jittered, retrying until the context is done.
@@ -155,6 +153,23 @@ func ParseRetryAfter(v string, now time.Time) time.Duration {
 	return d
 }
 
+// permanentError marks a failure retrying cannot fix; see Permanent.
+type permanentError struct{ err error }
+
+func (e *permanentError) Error() string { return e.err.Error() }
+func (e *permanentError) Unwrap() error { return e.err }
+
+// Permanent marks err as a failure that retrying cannot fix (a 4xx
+// validation error, an SKSP ERROR frame, a closed connection): Retry
+// stops at once and returns err itself, unwrapped. The mark survives
+// the caller's own wrapping. Permanent(nil) is nil.
+func Permanent(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &permanentError{err}
+}
+
 // delayAfter computes the sleep before the next try given the failure of
 // retry number attempt (0-based): the policy's jittered-exponential
 // delay, floored by the failure's Retry-After hint (capped at
@@ -174,13 +189,14 @@ func (b Backoff) delayAfter(attempt int, last error) time.Duration {
 	return d
 }
 
-// Retry runs f until it succeeds, the attempt budget is spent, or ctx is
-// done, sleeping the policy's jittered-exponential delay between tries.
-// f receives ctx and should abort promptly when it is canceled. A
-// failure wrapping RetryAfterError floors the next delay by the server's
-// hint. The returned error is nil on success; on a canceled context it
-// wraps both the context error and f's last error (either matches
-// errors.Is).
+// Retry runs f until it succeeds, fails permanently, the attempt budget
+// is spent, or ctx is done, sleeping the policy's jittered-exponential
+// delay between tries. f receives ctx and should abort promptly when it
+// is canceled. A failure wrapping RetryAfterError floors the next delay
+// by the server's hint; a failure marked with Permanent ends the loop
+// and is returned unwrapped. The returned error is nil on success; on a
+// canceled context it wraps both the context error and f's last error
+// (either matches errors.Is).
 func (b Backoff) Retry(ctx context.Context, f func(context.Context) error) error {
 	if f == nil {
 		return errors.New("distributed: Retry requires a function")
@@ -193,8 +209,12 @@ func (b Backoff) Retry(ctx context.Context, f func(context.Context) error) error
 		if last = f(ctx); last == nil {
 			return nil
 		}
+		var perm *permanentError
+		if errors.As(last, &perm) {
+			return perm.err
+		}
 		if b.Attempts > 0 && attempt+1 >= b.Attempts {
-			return fmt.Errorf("distributed: giving up after %d attempts: %w", attempt+1, last)
+			return fmt.Errorf("distributed: retry budget spent after %d attempts: %w", attempt+1, last)
 		}
 		t := time.NewTimer(b.delayAfter(attempt, last))
 		select {
@@ -213,35 +233,4 @@ func retryErr(attempts int, ctxErr, last error) error {
 		return fmt.Errorf("distributed: retry canceled before first attempt: %w", ctxErr)
 	}
 	return fmt.Errorf("distributed: retry canceled after %d attempts: %w (last error: %w)", attempts, ctxErr, last)
-}
-
-// ShipSketch marshals one sketch and delivers the blob via send under
-// the retry policy. send is typically an HTTP POST to a remote merger;
-// it must treat re-delivery as idempotent (it is: the blob is absolute
-// sketch state, and the merger overwrites the site's slot).
-func ShipSketch(ctx context.Context, b Backoff, sk *core.HashSketch, send func(context.Context, []byte) error) error {
-	if sk == nil {
-		return errors.New("distributed: nothing to ship")
-	}
-	if send == nil {
-		return errors.New("distributed: ShipSketch requires a send function")
-	}
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("distributed: marshal for shipping: %w", err)
-	}
-	return b.Retry(ctx, func(ctx context.Context) error {
-		return send(ctx, blob)
-	})
-}
-
-// ShipMerged merges a closed Ingestor's shard sketches and ships the
-// result — the whole remote-site contribution in one blob. The ingestor
-// must be Closed first.
-func ShipMerged(ctx context.Context, b Backoff, in *Ingestor, send func(context.Context, []byte) error) error {
-	merged, err := in.Merged()
-	if err != nil {
-		return err
-	}
-	return ShipSketch(ctx, b, merged, send)
 }

@@ -472,8 +472,9 @@ func (e *Engine) IngestSaturated() bool {
 	return false
 }
 
-// NoteRejected records n stream elements refused for backpressure (the
-// caller chose load shedding over blocking). Surfaced via IngestStats.
+// NoteRejected records n requests or frames refused for backpressure
+// (the caller chose load shedding over blocking); every caller passes 1
+// per refusal, whatever its element count. Surfaced via IngestStats.
 func (e *Engine) NoteRejected(n int64) {
 	e.metrics.Rejected.Add(n)
 }

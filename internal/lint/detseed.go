@@ -39,7 +39,6 @@ var deterministicPackages = map[string]bool{
 	"hashfam":  true,
 	"core":     true,
 	"agms":     true,
-	"countmin": true,
 	"dyadic":   true,
 	"workload": true,
 	"sampling": true,

@@ -296,94 +296,30 @@ func (c *Client) SendUpdates(ctx context.Context, batch []Update, hist *stats.Hi
 		out.Attempts++
 		if resp.StatusCode == http.StatusTooManyRequests {
 			out.Rejected429++
-			return &retryAfterError{delay: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
+			return &distributed.RetryAfterError{
+				After: distributed.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now()),
+				Err:   errors.New("server backpressure (429)"),
+			}
 		}
 		if resp.StatusCode/100 != 2 {
-			return &permanentError{fmt.Errorf("loadtest: /update: %s: %s", resp.Status, bytes.TrimSpace(data))}
+			return distributed.Permanent(fmt.Errorf("loadtest: /update: %s: %s", resp.Status, bytes.TrimSpace(data)))
 		}
 		if readErr != nil {
-			return &permanentError{readErr}
+			return distributed.Permanent(readErr)
 		}
 		var ack struct {
 			Applied      int64 `json:"applied"`
 			Deduplicated bool  `json:"deduplicated"`
 		}
 		if err := json.Unmarshal(data, &ack); err != nil {
-			return &permanentError{err}
+			return distributed.Permanent(err)
 		}
 		out.Applied = ack.Applied
 		out.Deduplicated = ack.Deduplicated
 		return nil
 	}
-	err = c.retryWithHint(ctx, attempt)
+	err = c.Backoff.Retry(ctx, attempt)
 	return out, err
-}
-
-// retryAfterError marks a retryable 429 carrying the server's hint.
-type retryAfterError struct{ delay time.Duration }
-
-func (e *retryAfterError) Error() string { return "server backpressure (429)" }
-
-// permanentError marks failures retrying cannot fix (4xx validation
-// errors, malformed responses); the retry loop stops immediately.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// maxRetryAfter caps how long a server hint can stall a worker: a
-// misconfigured (or adversarial) Retry-After of an hour must not wedge
-// the harness, whose own backoff tops out in seconds.
-const maxRetryAfter = distributed.MaxRetryAfter
-
-// parseRetryAfter reads a Retry-After hint in either RFC 9110 form —
-// delay-seconds ("120") or an HTTP-date, evaluated against now — capped
-// at maxRetryAfter. The parsing lives in the distributed package now so
-// the harness, the wire client, and the cluster merger all read the
-// header identically.
-func parseRetryAfter(v string, now time.Time) time.Duration {
-	return distributed.ParseRetryAfter(v, now)
-}
-
-// retryWithHint extends distributed.Backoff's jittered-exponential
-// retry with the HTTP contract: permanent errors abort immediately, and
-// a 429's Retry-After hint floors the next delay. The floor composes
-// with (rather than replaces) the exponential growth, so a crowd of
-// workers all told "retry after 1s" still decorrelates via jitter.
-func (c *Client) retryWithHint(ctx context.Context, f func(context.Context) error) error {
-	b := c.Backoff
-	var last error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if last != nil {
-				return fmt.Errorf("loadtest: canceled after %d attempts: %w (last: %w)", attempt, err, last)
-			}
-			return err
-		}
-		last = f(ctx)
-		if last == nil {
-			return nil
-		}
-		var perm *permanentError
-		if errors.As(last, &perm) {
-			return perm.err
-		}
-		if b.Attempts > 0 && attempt+1 >= b.Attempts {
-			return fmt.Errorf("loadtest: giving up after %d attempts: %w", attempt+1, last)
-		}
-		delay := b.Delay(attempt)
-		var ra *retryAfterError
-		if errors.As(last, &ra) && ra.delay > delay {
-			delay = ra.delay
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return fmt.Errorf("loadtest: canceled after %d attempts: %w (last: %w)", attempt+1, ctx.Err(), last)
-		case <-t.C:
-		}
-	}
 }
 
 // ServerStats is the subset of GET /stats the harness reconciles

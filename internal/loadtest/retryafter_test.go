@@ -10,38 +10,6 @@ import (
 	"time"
 )
 
-// TestParseRetryAfter covers both RFC 9110 Retry-After forms. The
-// HTTP-date cases are the regression: the old parser only understood
-// delay-seconds, so a date hint silently became "retry immediately".
-func TestParseRetryAfter(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	cases := []struct {
-		name string
-		v    string
-		want time.Duration
-	}{
-		{"empty", "", 0},
-		{"zero seconds", "0", 0},
-		{"delay seconds", "2", 2 * time.Second},
-		{"negative seconds", "-5", 0},
-		{"seconds capped", "3600", maxRetryAfter},
-		{"http date future", now.Add(3 * time.Second).Format(http.TimeFormat), 3 * time.Second},
-		{"http date past", now.Add(-time.Minute).Format(http.TimeFormat), 0},
-		{"http date capped", now.Add(time.Hour).Format(http.TimeFormat), maxRetryAfter},
-		{"rfc850 date", now.Add(4 * time.Second).Format("Monday, 02-Jan-06 15:04:05 MST"), 4 * time.Second},
-		{"ansi c date", now.Add(5 * time.Second).Format(time.ANSIC), 5 * time.Second},
-		{"garbage", "soon", 0},
-		{"float seconds", "1.5", 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := parseRetryAfter(tc.v, now); got != tc.want {
-				t.Fatalf("parseRetryAfter(%q) = %v, want %v", tc.v, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestRetryAfterDateFloorsBackoff drives the full retry loop: a server
 // that 429s once with an HTTP-date Retry-After ~1s out must hold the
 // client back at least that long — the pre-fix client parsed the date

@@ -174,52 +174,42 @@ func (c *Conn) SendTimed(ctx context.Context, tenant string, groups []stream.Gro
 		c.mu.Unlock()
 	}()
 
-	rejects := 0
-	for {
+	// One attempt is one transmission and its reply. Only a REJECT is
+	// retried, under the backoff policy floored by the server's hint; an
+	// ERROR, a failed connection or a canceled ctx ends the loop as is.
+	err := c.opts.Backoff.Retry(ctx, func(ctx context.Context) error {
+		// Before a resend, drop a straggler reply delivered while
+		// sleeping (a duplicate transmission racing the reject).
+		for out.Attempts > 0 && len(p.ch) > 0 {
+			<-p.ch
+		}
 		start := time.Now()
 		c.writeFrame(p)
+		var res result
 		select {
-		case res := <-p.ch:
-			if onAttempt != nil {
-				onAttempt(time.Since(start))
-			}
-			out.Attempts++
-			switch res.kind {
-			case rAck:
-				out.Applied = res.applied
-				out.Deduplicated = res.dup
-				return out, nil
-			case rReject:
-				out.Rejected429++
-				if b := c.opts.Backoff; b.Attempts > 0 && out.Attempts >= b.Attempts {
-					return out, fmt.Errorf("wire client: seq %d rejected %d times, retry budget spent", p.seq, out.Rejected429)
-				}
-				delay := c.opts.Backoff.Delay(rejects)
-				rejects++
-				if res.retryAfter > delay {
-					delay = res.retryAfter
-				}
-				t := time.NewTimer(delay)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return out, ctx.Err()
-				case <-t.C:
-				}
-				// Drain a straggler result delivered while sleeping (a
-				// duplicate transmission racing the reject), then resend.
-				for len(p.ch) > 0 {
-					<-p.ch
-				}
-			case rError:
-				return out, fmt.Errorf("wire client: server rejected seq %d permanently: %s", p.seq, res.msg)
-			case rFail:
-				return out, fmt.Errorf("wire client: %w", res.err)
-			}
+		case res = <-p.ch:
 		case <-ctx.Done():
-			return out, ctx.Err()
+			return distributed.Permanent(ctx.Err())
 		}
-	}
+		if onAttempt != nil {
+			onAttempt(time.Since(start))
+		}
+		out.Attempts++
+		switch res.kind {
+		case rAck:
+			out.Applied = res.applied
+			out.Deduplicated = res.dup
+			return nil
+		case rReject:
+			out.Rejected429++
+			return &distributed.RetryAfterError{After: res.retryAfter, Err: fmt.Errorf("wire client: seq %d rejected", p.seq)}
+		case rError:
+			return distributed.Permanent(fmt.Errorf("wire client: server rejected seq %d permanently: %s", p.seq, res.msg))
+		default:
+			return distributed.Permanent(fmt.Errorf("wire client: %w", res.err))
+		}
+	})
+	return out, err
 }
 
 // writeFrame sends p on the live connection, or kicks off a reconnect

@@ -73,7 +73,7 @@ const envelopeLen = 9 // type + length + crc
 // same Data reuse its backing buffers (the Updates slices of Groups all
 // alias one internal array), so a steady-state decode loop allocates
 // nothing; the contents are valid until the next DecodeData call unless
-// ownership is handed off (see sketchd's release contract).
+// ownership is handed off (see Handler's release contract).
 type Data struct {
 	ClientID string
 	Seq      uint64
