@@ -56,7 +56,7 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.stream = newStreamServer(eng, srv.dedupe, ln)
+	srv.stream = newStreamServer(srv, ln)
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.stream.Serve() }()
 	defer func() { srv.stream.Shutdown(); <-done }()

@@ -333,7 +333,7 @@ func runNode(ctx context.Context, opts options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		srv.stream = newStreamServer(eng, srv.dedupe, sln)
+		srv.stream = newStreamServer(srv, sln)
 		fmt.Fprintf(out, "sketchd sksp listener on %s\n", sln.Addr())
 		go func() { streamErr <- srv.stream.Serve() }()
 	}

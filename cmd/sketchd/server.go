@@ -19,7 +19,6 @@ import (
 	"skimsketch/internal/httpapi"
 	"skimsketch/internal/monitor"
 	"skimsketch/internal/stats"
-	"skimsketch/internal/stream"
 	"skimsketch/internal/wire"
 )
 
@@ -408,41 +407,6 @@ func (s *server) handleQueryByName(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-type updateReq struct {
-	Tenant string `json:"tenant,omitempty"`
-	Stream string `json:"stream"`
-	Value  uint64 `json:"value"`
-	// Weight is a pointer so an omitted weight (nil → default 1, a bare
-	// insert) is distinguishable from an explicit 0 (a no-op update the
-	// caller really asked for, e.g. generated pipelines).
-	Weight *int64 `json:"weight"`
-}
-
-// parseIdempotencyKey parses an optional Idempotency-Key header of the
-// form "clientID:seq". A client that may retry a batch (because the
-// connection died after the server applied it but before the response
-// arrived) sends the same key on every attempt; the server remembers
-// applied keys in its dedupe window and answers replays without
-// re-applying. Returns ok=false when the header is absent.
-func parseIdempotencyKey(r *http.Request) (client string, seq uint64, ok bool, err error) {
-	key := r.Header.Get("Idempotency-Key")
-	if key == "" {
-		return "", 0, false, nil
-	}
-	i := strings.LastIndexByte(key, ':')
-	if i <= 0 || i == len(key)-1 {
-		return "", 0, false, fmt.Errorf("malformed Idempotency-Key %q: want clientID:seq", key)
-	}
-	seq, err = strconv.ParseUint(key[i+1:], 10, 64)
-	if err != nil {
-		return "", 0, false, fmt.Errorf("malformed Idempotency-Key %q: seq: %w", key, err)
-	}
-	if len(key) > 2*wire.MaxNameLen {
-		return "", 0, false, fmt.Errorf("Idempotency-Key longer than %d bytes", 2*wire.MaxNameLen)
-	}
-	return key[:i], seq, true, nil
-}
-
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
@@ -453,114 +417,29 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// request count the harness reconciles against includes 429s.
 	t0 := time.Now()
 	defer func() { s.recordUpdateLatency(time.Since(t0)) }()
-	// Idempotent replay: a remembered key means an earlier attempt of
-	// this very batch was applied and only the response was lost. Answer
-	// from the window — before the saturation check, because re-applying
-	// nothing is always admissible.
-	idClient, idSeq, hasKey, err := parseIdempotencyKey(r)
+	d, err := httpapi.DecodeUpdates(r, requestTenant(r))
 	if err != nil {
 		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if hasKey {
-		if out, ok := s.dedupe.Lookup(idClient, idSeq); ok {
-			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"applied": out.Applied, "deduplicated": true})
+	reply, err := s.admit(d, nil)
+	switch reply.Type {
+	case wire.FrameAck:
+		if reply.Duplicate {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"applied": reply.Applied, "deduplicated": true})
 			return
 		}
-	}
-	// Backpressure: when the ingest queues are full, shed load with 429 +
-	// Retry-After instead of blocking the handler (and the client, and
-	// eventually every server connection) on a queue that may stay full.
-	// The check is early — before body parsing — because an overloaded
-	// server wants the cheapest possible rejection path. Nothing has been
-	// applied, so the request is safely retryable.
-	if s.eng.IngestSaturated() {
-		s.eng.NoteRejected(1)
-		httpapi.WriteRetryable(w, http.StatusTooManyRequests, 0, errors.New("ingest queues full; retry after backoff"))
-		return
-	}
-	// Accept a single object or a batch array.
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpapi.WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	var batch []updateReq
-	if err := json.Unmarshal(body, &batch); err != nil {
-		var one updateReq
-		if err := json.Unmarshal(body, &one); err != nil {
-			httpapi.WriteErr(w, http.StatusBadRequest, errors.New("expected a JSON update object or array of them"))
-			return
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int64{"applied": reply.Applied})
+	case wire.FrameReject:
+		httpapi.WriteRetryable(w, http.StatusTooManyRequests, 0, err)
+	default:
+		body := map[string]string{"error": err.Error()}
+		var se *engine.StreamError
+		if errors.As(err, &se) {
+			body["stream"] = se.Stream
 		}
-		batch = []updateReq{one}
+		httpapi.WriteJSON(w, http.StatusBadRequest, body)
 	}
-	// One request updates one tenant: per-object tenant fields must agree
-	// with each other and with the URL scope, so a batch can never be
-	// half-applied across namespaces.
-	bodyTenant := ""
-	for _, u := range batch {
-		if u.Tenant == "" {
-			continue
-		}
-		if bodyTenant != "" && u.Tenant != bodyTenant {
-			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("batch mixes tenants %q and %q; one tenant per request", bodyTenant, u.Tenant))
-			return
-		}
-		bodyTenant = u.Tenant
-	}
-	t, err := s.scope(r, bodyTenant)
-	if err != nil {
-		httpapi.WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// Group the batch by stream (preserving per-stream order) and hand
-	// the whole request to the engine's multi-group ingest path, which
-	// amortizes locking and hash evaluation and, with -ingest.workers,
-	// applies concurrently.
-	byStream := make(map[string]int)
-	groups := make([]stream.Group, 0, 2)
-	for _, u := range batch {
-		weight := int64(1) // bare inserts may omit the weight
-		if u.Weight != nil {
-			weight = *u.Weight
-		}
-		i, ok := byStream[u.Stream]
-		if !ok {
-			i = len(groups)
-			byStream[u.Stream] = i
-			groups = append(groups, stream.Group{Name: u.Stream})
-		}
-		groups[i].Updates = append(groups[i].Updates, stream.Update{Value: u.Value, Weight: weight})
-	}
-	// The request is atomic: validate EVERY stream group first, so a bad
-	// group (unknown stream, out-of-domain value) rejects the whole
-	// request with the failing stream named.
-	for _, g := range groups {
-		if err := t.ValidateBatch(g.Name, g.Updates); err != nil {
-			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{
-				"error":  err.Error(),
-				"stream": g.Name,
-			})
-			return
-		}
-	}
-	// Admission is atomic too: IngestGroups checks the tenant's
-	// queue-share quota against the WHOLE request before admitting any
-	// group, so a 429 here really means "nothing was applied, retry the
-	// whole batch" — the contract every retrying client assumes.
-	if err := t.IngestGroups(groups, nil); err != nil {
-		if errors.Is(err, engine.ErrQuotaExceeded) {
-			httpapi.WriteRetryable(w, http.StatusTooManyRequests, 0, err)
-			return
-		}
-		// Unreachable in practice (validated above); report faithfully.
-		httpapi.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	if hasKey {
-		s.dedupe.Record(idClient, idSeq, wire.Outcome{Applied: int64(len(batch))})
-	}
-	httpapi.WriteJSON(w, http.StatusOK, map[string]int{"applied": len(batch)})
 }
 
 // handleFlush drains the ingest pipeline (a no-op when ingestion is

@@ -13,6 +13,7 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/httpapi"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -273,7 +274,7 @@ func TestBadJSONBody(t *testing.T) {
 func TestParseIdempotencyKeyUnwraps(t *testing.T) {
 	r := httptest.NewRequest(http.MethodPost, "/update", nil)
 	r.Header.Set("Idempotency-Key", "client-1:notanumber")
-	_, _, _, err := parseIdempotencyKey(r)
+	_, err := httpapi.DecodeUpdates(r, "")
 	if err == nil {
 		t.Fatal("malformed seq accepted")
 	}

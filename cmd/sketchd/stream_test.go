@@ -285,13 +285,13 @@ func nUpdates(s string, n int) string {
 
 // streamListener boots the SKSP listener over a pipelined engine and
 // returns its address plus the server for counter inspection.
-func streamListener(t *testing.T, eng *engine.Engine, dedupe *wire.Window) (*wire.Server, string) {
+func streamListener(t *testing.T, eng *engine.Engine) (*wire.Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := newStreamServer(eng, dedupe, ln)
+	sv := newStreamServer(newServer(eng), ln)
 	done := make(chan struct{})
 	go func() { defer close(done); _ = sv.Serve() }()
 	t.Cleanup(func() { sv.Shutdown(); <-done })
@@ -321,7 +321,7 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sv, addr := streamListener(t, eng, wire.NewWindow(0, 0))
+	sv, addr := streamListener(t, eng)
 
 	c := client.New(addr, client.Options{Backoff: fastClientBackoff()})
 	defer c.Close()
@@ -401,7 +401,7 @@ func TestStreamReplayDedupe(t *testing.T) {
 	if err := def.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
-	_, addr := streamListener(t, eng, wire.NewWindow(0, 0))
+	_, addr := streamListener(t, eng)
 
 	dialSKSP := func() (net.Conn, *wire.Writer, *wire.Reader) {
 		t.Helper()
@@ -480,7 +480,7 @@ func TestStreamDrainKeepsAckedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := newStreamServer(eng, wire.NewWindow(0, 0), ln)
+	sv := newStreamServer(newServer(eng), ln)
 	done := make(chan struct{})
 	go func() { defer close(done); _ = sv.Serve() }()
 

@@ -76,11 +76,6 @@ type Merger struct {
 	stream *wire.Server
 }
 
-// maxPayloadBytes caps one shard's SKSL response. The largest sensible
-// payload (two 64×(1<<18) sketches) is well under this; a response
-// exceeding it is a broken or hostile peer, not a big sketch.
-const maxPayloadBytes = 1 << 28
-
 // MergerOptions tunes a Merger. The zero value is usable.
 type MergerOptions struct {
 	// Timeout bounds every cross-node call (dial through body read).
@@ -247,12 +242,12 @@ func (m *Merger) forward(ctx context.Context, method, u string, body []byte, hea
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPayloadBytes+1))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, httpapi.MaxBodyBytes+1))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if len(b) > maxPayloadBytes {
-		return 0, nil, nil, fmt.Errorf("cluster: response from %s exceeds %d bytes", u, maxPayloadBytes)
+	if len(b) > httpapi.MaxBodyBytes {
+		return 0, nil, nil, fmt.Errorf("cluster: response from %s exceeds %d bytes", u, httpapi.MaxBodyBytes)
 	}
 	return resp.StatusCode, b, resp.Header, nil
 }
@@ -274,9 +269,9 @@ func (m *Merger) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		copyResponse(w, status, body, hdr)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPayloadBytes+1))
-	if err != nil || len(body) > maxPayloadBytes {
-		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
+	body, err := httpapi.ReadBody(r)
+	if err != nil {
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	type result struct {
@@ -330,61 +325,28 @@ func copyResponse(w http.ResponseWriter, status int, body []byte, hdr http.Heade
 	_, _ = w.Write(body)
 }
 
-// mergerUpdate mirrors sketchd's update object. Weight stays a pointer
-// so an omitted weight (default 1) survives re-encoding unchanged.
-type mergerUpdate struct {
-	Tenant string `json:"tenant,omitempty"`
+// shardUpdate is one element of a per-shard /update sub-batch.
+type shardUpdate struct {
 	Stream string `json:"stream"`
 	Value  uint64 `json:"value"`
-	Weight *int64 `json:"weight,omitempty"`
+	Weight int64  `json:"weight"`
 }
 
-// handleUpdate routes a JSON update batch across the ring: each element
-// goes to the shard Route picks for its (tenant, stream, value), so the
-// per-shard sub-batches partition the request. Sub-batches are
-// forwarded concurrently, each under the cross-node deadline, with
-// per-shard idempotency keys derived from the caller's (see deriveKey)
-// so a retried batch is exactly-once on every shard even when the first
-// attempt half-landed.
+// handleUpdate admits a JSON update batch through ingest, exactly as
+// forwardFrame admits an SKSP frame; only the rendering differs. A
+// shard's permanent refusal is copied verbatim.
 func (m *Merger) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
 	m.updateCalls.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPayloadBytes+1))
-	if err != nil || len(body) > maxPayloadBytes {
-		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
+	d, err := httpapi.DecodeUpdates(r, mergerTenant(r))
+	if err != nil {
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var batch []mergerUpdate
-	if err := json.Unmarshal(body, &batch); err != nil {
-		var one mergerUpdate
-		if err := json.Unmarshal(body, &one); err != nil {
-			httpapi.WriteErr(w, http.StatusBadRequest, errors.New("expected a JSON update object or array of them"))
-			return
-		}
-		batch = []mergerUpdate{one}
-	}
-	tenant := mergerTenant(r)
-	for _, u := range batch {
-		if u.Tenant == "" {
-			continue
-		}
-		if tenant != "" && u.Tenant != tenant {
-			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("batch mixes tenants %q and %q; one tenant per request", tenant, u.Tenant))
-			return
-		}
-		tenant = u.Tenant
-	}
-	perShard := make(map[int][]mergerUpdate)
-	for _, u := range batch {
-		u.Tenant = "" // already carried in the forwarded URL
-		si := m.cfg.Route(tenant, u.Stream, u.Value)
-		perShard[si] = append(perShard[si], u)
-	}
-	baseKey := r.Header.Get("Idempotency-Key")
-	out := m.fanOutUpdate(r.Context(), tenant, perShard, baseKey)
+	out, total := m.ingest(r.Context(), d)
 	if out.err != nil {
 		switch out.kind {
 		case fanPermanent:
@@ -398,38 +360,52 @@ func (m *Merger) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	m.updatesRouted.Add(int64(len(batch)))
-	resp := map[string]any{"applied": len(batch), "shards": len(perShard)}
+	m.updatesRouted.Add(total)
+	resp := map[string]any{"applied": total, "shards": out.shards}
 	if out.allDup {
 		resp["deduplicated"] = true
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
-// deriveKey scopes a client idempotency key "client:seq" to one shard:
-// "client.s<i>:seq". The merger fans one logical batch out to several
-// shards, and a retry after a partial failure must not double-apply on
-// the shards that already accepted — each shard's dedupe window sees a
-// stable per-shard identity, so replays are answered from memory there.
-// Batches without a key are at-least-once per shard under merger-level
-// retry, exactly like keyless single-node batches.
-func deriveKey(baseKey string, shard int) string {
-	if baseKey == "" {
+// ingest routes one request across the ring — each element to the shard
+// Route picks for its (tenant, stream, value), so the per-shard
+// sub-batches partition the request — and forwards the sub-batches. It
+// returns the folded outcome and the number of elements routed.
+func (m *Merger) ingest(ctx context.Context, d *wire.Data) (fanResult, int64) {
+	perShard := make([][]shardUpdate, len(m.cfg.Shards))
+	var total int64
+	for _, g := range d.Groups {
+		for _, u := range g.Updates {
+			si := m.cfg.Route(d.Tenant, g.Name, u.Value)
+			perShard[si] = append(perShard[si], shardUpdate{Stream: g.Name, Value: u.Value, Weight: u.Weight})
+			total++
+		}
+	}
+	return m.fanOutUpdate(ctx, d.Tenant, perShard, d.ClientID, d.Seq), total
+}
+
+// deriveKey scopes a client idempotency identity (clientID, seq) to one
+// shard: "clientID.s<i>:seq". The merger fans one logical batch out to
+// several shards, and a retry after a partial failure must not
+// double-apply on the shards that already accepted — each shard's dedupe
+// window sees a stable per-shard identity, so replays are answered from
+// memory there. Requests without a key (clientID "") are at-least-once
+// per shard under merger-level retry, exactly like keyless single-node
+// batches.
+func deriveKey(clientID string, seq uint64, shard int) string {
+	if clientID == "" {
 		return ""
 	}
-	i := strings.LastIndexByte(baseKey, ':')
-	if i <= 0 {
-		return "" // malformed; let the shard reject or treat as keyless
-	}
-	return fmt.Sprintf("%s.s%d%s", baseKey[:i], shard, baseKey[i:])
+	return fmt.Sprintf("%s.s%d:%d", clientID, shard, seq)
 }
 
 type fanKind int
 
 const (
-	fanPermanent fanKind = iota + 1 // 4xx from a shard: do not retry
-	fanRejected                     // 429: nothing applied there, retry whole batch
-	fanUnreachable                  // transport failure: retry whole batch
+	fanPermanent   fanKind = iota + 1 // 4xx from a shard: do not retry
+	fanRejected                       // 429: nothing applied there, retry whole batch
+	fanUnreachable                    // transport failure: retry whole batch
 )
 
 type fanResult struct {
@@ -440,13 +416,15 @@ type fanResult struct {
 	header     http.Header
 	retryAfter time.Duration
 	allDup     bool
+	shards     int // shards that received a sub-batch
 }
 
-// fanOutUpdate forwards per-shard sub-batches concurrently and folds
-// the outcomes: permanent refusals dominate (the request itself is
-// bad), then 429s (retryable, with the largest shard hint), then
-// transport failures. Success requires every involved shard to accept.
-func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard map[int][]mergerUpdate, baseKey string) fanResult {
+// fanOutUpdate forwards the non-empty per-shard sub-batches (indexed by
+// shard) concurrently and folds the outcomes: permanent refusals
+// dominate (the request itself is bad), then 429s (retryable, with the
+// largest shard hint), then transport failures. Success requires every
+// involved shard to accept.
+func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard [][]shardUpdate, clientID string, seq uint64) fanResult {
 	type shardOut struct {
 		shard      Shard
 		status     int
@@ -456,23 +434,23 @@ func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard map[i
 		err        error
 		retryAfter time.Duration
 	}
-	outs := make([]shardOut, 0, len(perShard))
-	var mu sync.Mutex
+	outs := make([]shardOut, len(perShard))
 	var wg sync.WaitGroup
 	for si, items := range perShard {
+		if len(items) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(si int, items []mergerUpdate) {
+		go func(si int, items []shardUpdate) {
 			defer wg.Done()
 			s := m.cfg.Shards[si]
 			body, err := json.Marshal(items)
 			if err != nil {
-				mu.Lock()
-				outs = append(outs, shardOut{shard: s, err: err})
-				mu.Unlock()
+				outs[si] = shardOut{shard: s, err: err}
 				return
 			}
 			hdr := http.Header{}
-			if key := deriveKey(baseKey, si); key != "" {
+			if key := deriveKey(clientID, seq, si); key != "" {
 				hdr.Set("Idempotency-Key", key)
 			}
 			status, respBody, respHdr, err := m.forward(ctx, http.MethodPost, m.shardURL(s, "/update", tenant, nil), body, hdr)
@@ -486,13 +464,18 @@ func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard map[i
 					o.dup = ack.Deduplicated
 				}
 			}
-			mu.Lock()
-			outs = append(outs, o)
-			mu.Unlock()
+			outs[si] = o
 		}(si, items)
 	}
 	wg.Wait()
-	res := fanResult{allDup: len(outs) > 0}
+	sent := outs[:0]
+	for si := range outs {
+		if len(perShard[si]) > 0 {
+			sent = append(sent, outs[si])
+		}
+	}
+	outs = sent
+	res := fanResult{allDup: len(outs) > 0, shards: len(outs)}
 	for _, o := range outs {
 		if o.err == nil && o.status < 300 && !o.dup {
 			res.allDup = false
@@ -583,14 +566,17 @@ func (m *Merger) fetchPayload(ctx context.Context, s Shard, tenant, query string
 	}
 }
 
-// globalAnswer pulls, merges, and estimates one query across the ring.
-func (m *Merger) globalAnswer(ctx context.Context, tenant, query string) (map[string]any, int, error) {
-	pulls := m.pullPayloads(ctx, tenant, query)
+// pullMerged pulls every shard's payload for one query and merges the
+// survivors into one payload carrying the summed epochs. It fails with
+// 503 when no shard answered and 500 when the survivors disagree on the
+// query's metadata (the ring schema has diverged). missing names the
+// shards left out of the merge, never nil.
+func (m *Merger) pullMerged(ctx context.Context, tenant, query string) (merged *Payload, missing []string, status int, err error) {
 	var lefts, rights []*core.HashSketch
-	var missing []string
 	var ref *Payload
 	var leftEpoch, rightEpoch uint64
-	for _, pr := range pulls {
+	missing = []string{}
+	for _, pr := range m.pullPayloads(ctx, tenant, query) {
 		if pr.err != nil {
 			missing = append(missing, pr.shard.Name)
 			continue
@@ -599,7 +585,7 @@ func (m *Merger) globalAnswer(ctx context.Context, tenant, query string) (map[st
 		if ref == nil {
 			ref = p
 		} else if p.Agg != ref.Agg || p.Domain != ref.Domain {
-			return nil, http.StatusInternalServerError,
+			return nil, nil, http.StatusInternalServerError,
 				fmt.Errorf("shard %s disagrees on query metadata (agg %d domain %d vs agg %d domain %d): ring schema has diverged",
 					pr.shard.Name, p.Agg, p.Domain, ref.Agg, ref.Domain)
 		}
@@ -608,29 +594,40 @@ func (m *Merger) globalAnswer(ctx context.Context, tenant, query string) (map[st
 		leftEpoch += p.LeftEpoch
 		rightEpoch += p.RightEpoch
 	}
-	n := len(m.cfg.Shards)
-	k := len(lefts)
-	if k == 0 {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("no shard answered for query %q (%d tried)", query, n)
+	if ref == nil {
+		return nil, nil, http.StatusServiceUnavailable, fmt.Errorf("no shard answered for query %q (%d tried)", query, len(m.cfg.Shards))
 	}
 	mergedL, err := distributed.Merge(lefts...)
 	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("merge left synopses: %w", err)
+		return nil, nil, http.StatusInternalServerError, fmt.Errorf("merge left synopses: %w", err)
 	}
 	mergedR, err := distributed.Merge(rights...)
 	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("merge right synopses: %w", err)
+		return nil, nil, http.StatusInternalServerError, fmt.Errorf("merge right synopses: %w", err)
 	}
-	est, err := core.EstimateJoin(mergedL, mergedR, ref.Domain, nil)
+	merged = &Payload{
+		Agg: ref.Agg, Domain: ref.Domain,
+		LeftEpoch: leftEpoch, RightEpoch: rightEpoch,
+		Left: mergedL, Right: mergedR,
+	}
+	return merged, missing, http.StatusOK, nil
+}
+
+// globalAnswer pulls, merges, and estimates one query across the ring.
+func (m *Merger) globalAnswer(ctx context.Context, tenant, query string) (map[string]any, int, error) {
+	p, missing, status, err := m.pullMerged(ctx, tenant, query)
+	if err != nil {
+		return nil, status, err
+	}
+	n := len(m.cfg.Shards)
+	k := n - len(missing)
+	est, err := core.EstimateJoin(p.Left, p.Right, p.Domain, nil)
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("estimate over merged synopses: %w", err)
 	}
 	agg := "COUNT"
-	if ref.Agg == AggSum {
+	if p.Agg == AggSum {
 		agg = "SUM"
-	}
-	if missing == nil {
-		missing = []string{} // never null on the wire
 	}
 	resp := map[string]any{
 		"query":    query,
@@ -650,7 +647,7 @@ func (m *Merger) globalAnswer(ctx context.Context, tenant, query string) (map[st
 			"errorWidening": float64(n) / float64(k),
 			"degraded":      k < n,
 		},
-		"epochs": map[string]uint64{"left": leftEpoch, "right": rightEpoch},
+		"epochs": map[string]uint64{"left": p.LeftEpoch, "right": p.RightEpoch},
 	}
 	return resp, http.StatusOK, nil
 }
@@ -713,49 +710,23 @@ func (m *Merger) handleSketch(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
 		return
 	}
-	tenant := mergerTenant(r)
-	pulls := m.pullPayloads(r.Context(), tenant, query)
-	var lefts, rights []*core.HashSketch
-	var ref *Payload
-	var leftEpoch, rightEpoch uint64
-	for _, pr := range pulls {
-		if pr.err != nil || pr.payload == nil {
-			continue
-		}
-		if ref == nil {
-			ref = pr.payload
-		}
-		lefts = append(lefts, pr.payload.Left)
-		rights = append(rights, pr.payload.Right)
-		leftEpoch += pr.payload.LeftEpoch
-		rightEpoch += pr.payload.RightEpoch
-	}
-	if ref == nil {
-		httpapi.WriteRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("no shard answered for query %q", query))
-		return
-	}
-	mergedL, err := distributed.Merge(lefts...)
+	p, missing, status, err := m.pullMerged(r.Context(), mergerTenant(r), query)
 	if err != nil {
-		httpapi.WriteErr(w, http.StatusInternalServerError, err)
+		if status == http.StatusServiceUnavailable {
+			httpapi.WriteRetryable(w, status, 0, err)
+			return
+		}
+		httpapi.WriteErr(w, status, err)
 		return
 	}
-	mergedR, err := distributed.Merge(rights...)
-	if err != nil {
-		httpapi.WriteErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	blob, err := EncodePayload(&Payload{
-		Agg: ref.Agg, Domain: ref.Domain,
-		LeftEpoch: leftEpoch, RightEpoch: rightEpoch,
-		Left: mergedL, Right: mergedR,
-	})
+	blob, err := EncodePayload(p)
 	if err != nil {
 		httpapi.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-	w.Header().Set("X-Cluster-Shards", fmt.Sprintf("%d/%d", len(lefts), len(m.cfg.Shards)))
+	w.Header().Set("X-Cluster-Shards", fmt.Sprintf("%d/%d", len(m.cfg.Shards)-len(missing), len(m.cfg.Shards)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(blob)
 }

@@ -137,7 +137,7 @@ func (ts *testShard) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var batch []mergerUpdate
+	var batch []testUpdate
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -255,20 +255,28 @@ func (tc *testCluster) registerSchema(t *testing.T) {
 	tc.mustPost(t, "/queries", `{"name":"q","agg":"COUNT","left":{"stream":"F"},"right":{"stream":"G"}}`)
 }
 
+// testUpdate is one element of a JSON /update body.
+type testUpdate struct {
+	Tenant string `json:"tenant,omitempty"`
+	Stream string `json:"stream"`
+	Value  uint64 `json:"value"`
+	Weight *int64 `json:"weight,omitempty"`
+}
+
 // seededBatch is the deterministic workload the bit-identity tests
 // ingest: skewed on F, mildly weighted on G.
-func seededBatch(n int) []mergerUpdate {
+func seededBatch(n int) []testUpdate {
 	w2 := int64(2)
-	batch := make([]mergerUpdate, 0, 2*n)
+	batch := make([]testUpdate, 0, 2*n)
 	for i := 0; i < n; i++ {
 		v := uint64(i*i%512 + i%7)
-		batch = append(batch, mergerUpdate{Stream: "F", Value: v})
-		batch = append(batch, mergerUpdate{Stream: "G", Value: uint64((i*13 + 5) % 512), Weight: &w2})
+		batch = append(batch, testUpdate{Stream: "F", Value: v})
+		batch = append(batch, testUpdate{Stream: "G", Value: uint64((i*13 + 5) % 512), Weight: &w2})
 	}
 	return batch
 }
 
-func marshalBatch(t *testing.T, batch []mergerUpdate) string {
+func marshalBatch(t *testing.T, batch []testUpdate) string {
 	t.Helper()
 	b, err := json.Marshal(batch)
 	if err != nil {
@@ -313,7 +321,7 @@ func (tc *testCluster) answer(t *testing.T, wantStatus int) answerResp {
 
 // referenceEngine ingests the same batch into one engine — the
 // single-node ground truth the cluster answer must match bit-for-bit.
-func referenceEngine(t *testing.T, batch []mergerUpdate) *engine.Engine {
+func referenceEngine(t *testing.T, batch []testUpdate) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(engine.Options{SketchConfig: testCfg()})
 	if err != nil {
@@ -534,18 +542,137 @@ func TestMergerUpdateRejectPropagates(t *testing.T) {
 }
 
 func TestDeriveKey(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"client:42", "client.s3:42"},
-		{"a.b:c:9", "a.b:c.s3:9"}, // split on the LAST colon, like the shards do
-		{"", ""},
-		{"nocolon", ""},
-		{":5", ""},
+	cases := []struct {
+		client string
+		seq    uint64
+		want   string
+	}{
+		{"client", 42, "client.s3:42"},
+		{"a.b:c", 9, "a.b:c.s3:9"}, // a client ID may itself contain ':'
+		{"", 5, ""},
 	}
 	for _, tc := range cases {
-		if got := deriveKey(tc.in, 3); got != tc.want {
-			t.Errorf("deriveKey(%q, 3) = %q, want %q", tc.in, got, tc.want)
+		if got := deriveKey(tc.client, tc.seq, 3); got != tc.want {
+			t.Errorf("deriveKey(%q, %d, 3) = %q, want %q", tc.client, tc.seq, got, tc.want)
 		}
 	}
+}
+
+// TestMergerMalformedKeyRefused: a malformed Idempotency-Key is a 400
+// that reaches no shard, rather than a keyless (at-least-once) forward.
+func TestMergerMalformedKeyRefused(t *testing.T) {
+	tc := newTestCluster(t, 2, MergerOptions{})
+	tc.registerSchema(t)
+	for _, key := range []string{"nocolon", ":5", "client:", "client:x"} {
+		req, err := http.NewRequest(http.MethodPost, tc.srv.URL+"/update", bytes.NewReader([]byte(marshalBatch(t, seededBatch(20)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Idempotency-Key", key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("key %q: status %d, want 400", key, resp.StatusCode)
+		}
+	}
+	for i, sh := range tc.shards {
+		if n := sh.updates.Load(); n != 0 {
+			t.Fatalf("shard %d applied %d updates from refused requests", i, n)
+		}
+	}
+}
+
+// TestMergerDivergedRingRefused: when shards disagree on a query's
+// metadata, /sketch refuses with 500 just like /answer, instead of
+// merging under the first shard's domain.
+func TestMergerDivergedRingRefused(t *testing.T) {
+	tc := newTestCluster(t, 2, MergerOptions{})
+	for i, sh := range tc.shards {
+		domain := uint64(1024 << i)
+		if err := sh.eng.DeclareStream("F", domain); err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.eng.DeclareStream("G", domain); err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.eng.RegisterQuery(engine.QuerySpec{Name: "q", Agg: engine.Count,
+			Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{"/sketch?query=q", "/answer?query=q"} {
+		resp, err := http.Get(tc.srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s on a diverged ring: status %d, want 500", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestMergerJSONFrameParity: one batch sent as JSON /update and as an
+// SKSP frame lands identically on every shard.
+func TestMergerJSONFrameParity(t *testing.T) {
+	batch := seededBatch(200)
+	viaJSON := newTestCluster(t, 3, MergerOptions{})
+	viaJSON.registerSchema(t)
+	viaJSON.mustPost(t, "/update", marshalBatch(t, batch))
+
+	viaFrame := newTestCluster(t, 3, MergerOptions{})
+	viaFrame.registerSchema(t)
+	conn := wclient.New(startForwarder(t, viaFrame.merger), wclient.Options{ClientID: "parity"})
+	defer conn.Close()
+	if _, err := conn.Send(context.Background(), "", batchGroups(batch)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range viaJSON.shards {
+		j, f := viaJSON.shards[i].updates.Load(), viaFrame.shards[i].updates.Load()
+		if j != f {
+			t.Fatalf("shard %d applied %d updates via JSON, %d via SKSP", i, j, f)
+		}
+	}
+}
+
+// startForwarder serves m's SKSP ingress on a loopback port until the
+// test ends and returns its address.
+func startForwarder(t *testing.T, m *Merger) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := NewStreamForwarder(m, ln)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- fwd.Serve() }()
+	t.Cleanup(func() {
+		fwd.Shutdown()
+		if err := <-serveErr; err != nil {
+			t.Errorf("forwarder serve: %v", err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+// batchGroups groups a seeded batch into the SKSP frame it stands for.
+func batchGroups(batch []testUpdate) []stream.Group {
+	groups := []stream.Group{{Name: "F"}, {Name: "G"}}
+	for _, u := range batch {
+		weight := int64(1)
+		if u.Weight != nil {
+			weight = *u.Weight
+		}
+		gi := 0
+		if u.Stream == "G" {
+			gi = 1
+		}
+		groups[gi].Updates = append(groups[gi].Updates, stream.Update{Value: u.Value, Weight: weight})
+	}
+	return groups
 }
 
 // TestMergerEpochCache: with a non-zero epoch the second answer is
@@ -594,18 +721,7 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	tc.shards[0].saturate429.Store(1)
 
 	batch := seededBatch(200)
-	groups := []stream.Group{{Name: "F"}, {Name: "G"}}
-	for _, u := range batch {
-		weight := int64(1)
-		if u.Weight != nil {
-			weight = *u.Weight
-		}
-		gi := 0
-		if u.Stream == "G" {
-			gi = 1
-		}
-		groups[gi].Updates = append(groups[gi].Updates, stream.Update{Value: u.Value, Weight: weight})
-	}
+	groups := batchGroups(batch)
 	conn := wclient.New(ln.Addr().String(), wclient.Options{
 		ClientID: "sksp-test",
 		Backoff:  distributed.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Attempts: 10, Jitter: 0},

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"net"
 
 	"skimsketch/internal/httpapi"
@@ -38,35 +37,21 @@ func NewStreamForwarder(m *Merger, ln net.Listener) *wire.Server {
 	return m.stream
 }
 
-// forwardFrame routes one decoded DATA frame across the ring.
+// forwardFrame admits one decoded DATA frame through ingest, exactly as
+// handleUpdate admits a JSON batch; only the rendering differs.
 func (m *Merger) forwardFrame(d *wire.Data, release func()) wire.Reply {
-	perShard := make(map[int][]mergerUpdate)
-	var total int64
-	for _, g := range d.Groups {
-		for _, u := range g.Updates {
-			si := m.cfg.Route(d.Tenant, g.Name, u.Value)
-			weight := u.Weight
-			perShard[si] = append(perShard[si], mergerUpdate{Stream: g.Name, Value: u.Value, Weight: &weight})
-			total++
-		}
-	}
-	// The frame's (clientID, seq) becomes the per-shard idempotency
-	// identity, so shard dedupe windows carry the exactly-once promise
-	// across merger restarts and frame replays.
-	tenant, seq := d.Tenant, d.Seq
-	baseKey := fmt.Sprintf("%s:%d", d.ClientID, seq)
-	release() // perShard holds copies; d is not needed past this point
+	defer release()
 	ctx, cancel := context.WithTimeout(context.Background(), m.timeout)
-	out := m.fanOutUpdate(ctx, tenant, perShard, baseKey)
-	cancel()
+	defer cancel()
+	out, total := m.ingest(ctx, d)
 	switch {
 	case out.err == nil:
-		return wire.Reply{Type: wire.FrameAck, Seq: seq, Applied: total, Duplicate: out.allDup}
+		return wire.Reply{Type: wire.FrameAck, Seq: d.Seq, Applied: total, Duplicate: out.allDup}
 	case out.kind == fanPermanent:
-		return wire.Reply{Type: wire.FrameError, Seq: seq, Msg: out.err.Error()}
+		return wire.Reply{Type: wire.FrameError, Seq: d.Seq, Msg: out.err.Error()}
 	default:
 		// Saturated or unreachable shard: retryable. The hint is the
 		// largest shard Retry-After, floored at the merger's own.
-		return wire.Reply{Type: wire.FrameReject, Seq: seq, RetryAfter: uint32(httpapi.RetryAfter(out.retryAfter))}
+		return wire.Reply{Type: wire.FrameReject, Seq: d.Seq, RetryAfter: uint32(httpapi.RetryAfter(out.retryAfter))}
 	}
 }

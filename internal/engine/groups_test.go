@@ -79,6 +79,32 @@ func TestIngestGroupsQuotaAtomic(t *testing.T) {
 	}
 }
 
+// TestQuotaRejectCountsOneRequest: the engine-wide rejected counter
+// counts refused requests, like a saturation refusal, while the
+// tenant's counter keeps counting refused updates.
+func TestQuotaRejectCountsOneRequest(t *testing.T) {
+	e := mustEngine(t)
+	tn := e.Tenant("capped")
+	setupTenant(t, tn)
+	if err := e.SetQuota("capped", Quota{MaxPendingUpdates: 150}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.StopIngest()
+	err := tn.IngestGroups([]stream.Group{{Name: "F", Updates: sameValueBatch(200, 7)}}, nil)
+	if !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("200-update request against quota 150: want ErrQuotaExceeded, got %v", err)
+	}
+	if got := e.IngestStats().Rejected; got != 1 {
+		t.Fatalf("engine rejected = %d, want 1 (one refused request)", got)
+	}
+	if got := tn.Stats().Rejected; got != 200 {
+		t.Fatalf("tenant rejected = %d, want 200 (refused updates)", got)
+	}
+}
+
 // TestIngestGroupsValidationAtomic: a request whose LATER group fails
 // validation (unknown stream, out-of-domain value) applies nothing,
 // in both the synchronous and the pipelined mode.

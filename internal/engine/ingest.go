@@ -255,29 +255,17 @@ func (ing *ingester) enqueue(e *Engine, ts *tenantState, route [][]*synEntry, up
 	}
 }
 
-// ValidateBatch checks that a default-tenant batch could be ingested —
-// the stream is declared and every value lies inside its domain —
-// without applying anything. Callers staging a multi-stream request can
-// validate every group first and only then apply, making the whole
-// request atomic.
-func (e *Engine) ValidateBatch(streamName string, updates []stream.Update) error {
-	return e.Tenant(DefaultTenant).ValidateBatch(streamName, updates)
+// StreamError is a validation refusal that names the stream group it
+// concerns (unknown stream, value out of domain), so front ends can
+// report which group failed without matching on message text.
+type StreamError struct {
+	Stream string
+	Err    error
 }
 
-// ValidateBatch is Engine.ValidateBatch scoped to this tenant.
-func (t *Tenant) ValidateBatch(streamName string, updates []stream.Update) error {
-	e := t.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	info, ok := e.streams[nsKey{t.name, streamName}]
-	if !ok {
-		return fmt.Errorf("engine: unknown stream %q", streamName)
-	}
-	if err := stream.Validate(updates, info.domain); err != nil {
-		return fmt.Errorf("engine: stream %q: %w", streamName, err)
-	}
-	return nil
-}
+func (e *StreamError) Error() string { return e.Err.Error() }
+
+func (e *StreamError) Unwrap() error { return e.Err }
 
 // IngestBatch validates and ingests a batch of default-tenant updates
 // for one stream. With a running pipeline (StartIngest) the batch is
@@ -315,7 +303,8 @@ func (e *Engine) IngestGroups(groups []stream.Group, release func()) error {
 // request's SUMMED update count before anything is admitted. On error
 // nothing has been applied, enqueued, or counted — a quota rejection
 // (wrapping ErrQuotaExceeded) therefore really means "retry the whole
-// request", never "part of it landed".
+// request", never "part of it landed". A validation refusal is a
+// *StreamError naming the first failing group.
 //
 // release, when non-nil, transfers buffer ownership: on a nil return
 // the engine references the groups' Updates slices until every element
@@ -341,11 +330,11 @@ func (t *Tenant) IngestGroups(groups []stream.Group, release func()) error {
 		info, ok := e.streams[nsKey{t.name, groups[i].Name}]
 		if !ok {
 			e.mu.Unlock()
-			return fmt.Errorf("engine: unknown stream %q", groups[i].Name)
+			return &StreamError{groups[i].Name, fmt.Errorf("engine: unknown stream %q", groups[i].Name)}
 		}
 		if err := stream.Validate(groups[i].Updates, info.domain); err != nil {
 			e.mu.Unlock()
-			return fmt.Errorf("engine: stream %q: %w", groups[i].Name, err)
+			return &StreamError{groups[i].Name, fmt.Errorf("engine: stream %q: %w", groups[i].Name, err)}
 		}
 	}
 	ing := e.ing
@@ -357,8 +346,10 @@ func (t *Tenant) IngestGroups(groups []stream.Group, release func()) error {
 	if ing != nil {
 		if max := ts.quota.MaxPendingUpdates; max > 0 {
 			if pend := ts.pending.Load(); pend+int64(total) > max {
+				// The tenant counts refused updates; the engine-wide
+				// counter counts refused requests, like NoteRejected.
 				ts.rejected.Add(int64(total))
-				e.metrics.Rejected.Add(int64(total))
+				e.metrics.Rejected.Add(1)
 				e.mu.Unlock()
 				return fmt.Errorf("engine: tenant %q: %d pending + %d batched updates over queue-share quota %d: %w",
 					t.name, pend, total, max, ErrQuotaExceeded)

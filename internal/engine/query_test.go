@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"skimsketch/internal/core"
@@ -177,21 +179,28 @@ func TestStatsReportsQueryWorkers(t *testing.T) {
 	}
 }
 
-// ValidateBatch checks without applying.
-func TestValidateBatch(t *testing.T) {
+// A validation refusal is a *StreamError naming the failing group, with
+// the engine's message text, and applies nothing.
+func TestIngestGroupsStreamError(t *testing.T) {
 	e := mustEngine(t)
 	declareFG(t, e, 16)
-	if err := e.ValidateBatch("nope", []stream.Update{{Value: 1, Weight: 1}}); err == nil {
-		t.Fatal("expected unknown-stream error")
-	}
-	if err := e.ValidateBatch("F", []stream.Update{{Value: 99, Weight: 1}}); err == nil {
-		t.Fatal("expected out-of-domain error")
-	}
-	if err := e.ValidateBatch("F", []stream.Update{{Value: 3, Weight: 1}}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		groups       []stream.Group
+		stream, text string
+	}{
+		{[]stream.Group{{Name: "F", Updates: []stream.Update{{Value: 3, Weight: 1}}}, {Name: "nope", Updates: []stream.Update{{Value: 1, Weight: 1}}}},
+			"nope", `engine: unknown stream "nope"`},
+		{[]stream.Group{{Name: "F", Updates: []stream.Update{{Value: 99, Weight: 1}}}},
+			"F", `engine: stream "F": `},
+	} {
+		err := e.IngestGroups(tc.groups, nil)
+		var se *StreamError
+		if !errors.As(err, &se) || se.Stream != tc.stream || !strings.HasPrefix(err.Error(), tc.text) {
+			t.Fatalf("IngestGroups error %v, want a StreamError for %q starting %q", err, tc.stream, tc.text)
+		}
 	}
 	if st := e.Stats(); st.UpdateCounts["F"] != 0 {
-		t.Fatalf("ValidateBatch applied updates: count = %d", st.UpdateCounts["F"])
+		t.Fatalf("refused requests applied updates: count = %d", st.UpdateCounts["F"])
 	}
 }
 

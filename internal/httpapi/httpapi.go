@@ -1,7 +1,7 @@
-// Package httpapi holds the HTTP response conventions that sketchd and
-// the cluster merger share, so both tiers answer byte-for-byte alike:
-// JSON bodies, {"error": ...} payloads, and the Retry-After hint that
-// rides on every retryable refusal.
+// Package httpapi holds the HTTP conventions that sketchd and the
+// cluster merger share, so both tiers read and answer byte-for-byte
+// alike: the /update body decoder, JSON bodies, {"error": ...} payloads,
+// and the Retry-After hint that rides on every retryable refusal.
 package httpapi
 
 import (

@@ -25,9 +25,10 @@ type IngestMetrics struct {
 	// Flushes counts pipeline drain barriers (explicit Flush calls plus
 	// the implicit quiesce before every query/snapshot/stats read).
 	Flushes atomic.Int64
-	// Rejected counts ingest admissions (single updates or whole batch
-	// requests) refused for backpressure — full ingest queues — instead
-	// of being enqueued: the 429 path in sketchd.
+	// Rejected counts ingest requests (an HTTP /update or an SKSP DATA
+	// frame, whatever its element count) refused instead of being
+	// enqueued, one per refusal: full ingest queues or a tenant over its
+	// queue-share quota — every 429 and REJECT sketchd sends.
 	Rejected atomic.Int64
 }
 
