@@ -1,26 +1,21 @@
-// Command loadgen is the end-to-end load harness for sketchd: an
+// Command loadgen is the exact-reconciliation driver for sketchd: an
 // open-loop generator (token-bucket arrivals that never slow down when
-// the server does), concurrent ingest workers honoring the server's
-// 429/Retry-After backpressure contract, and an optional mixed query
-// stream against /answer. Latency percentiles come from merging the
-// per-worker log-bucketed histograms — never from averaging per-worker
-// percentiles — and each run emits BENCH_ingest.json / BENCH_query.json
-// (schema in docs/FORMATS.md) so the repo's speed trajectory is
-// comparable across commits.
+// the server does) feeding concurrent ingest workers over JSON HTTP or
+// SKSP (-proto), honoring the server's 429/Retry-After backpressure
+// contract. After the run it flushes the server and writes
+// BENCH_ingest.json (schema in docs/FORMATS.md): the client's
+// acknowledged updates beside the server's own counters, in total and
+// per tenant (-tenants), which must agree exactly.
 //
-//	loadgen -target http://127.0.0.1:8080 -declare -duration 10s -rate 50000
+//	loadgen -target http://127.0.0.1:8080 -declare -updates 40000 -out DIR
 //
-// With -autotune the harness searches its own knobs (-ingest.workers,
-// -ingest.batch, -ingest.queue, -query.workers) by coordinate descent
-// over short live trials (-autotune.trial each), writes the best
-// configuration and the full measured curve to BENCH_autotune.json, and
-// then runs the final measured pass with the winning knobs. The first
-// trial is always the flag configuration and the incumbent only ever
-// improves, so the tuned result is never slower than the defaults.
+// -declare declares the streams and registers the COUNT join query q in
+// every tenant it drives, so every acknowledged update is folded into a
+// synopsis. With -validate FILE[,FILE...] loadgen instead checks that
+// each file is a schema-valid report whose counts reconcile.
 //
-// With -validate FILE[,FILE...] loadgen instead checks that each file
-// is a schema-valid BENCH report with nonzero throughput — the CI
-// bench-smoke gate.
+// loadgen measures no speed: throughput and latency are perfbench's
+// (perfbench/run.sh, BENCHMARK.json).
 package main
 
 import (
@@ -49,24 +44,16 @@ type options struct {
 	shape    string
 	seed     int64
 	rate     float64
-	burst    int
 	duration time.Duration
 	updates  int64
 	workers  int
 	batch    int
 	queue    int
-	qworkers int
-	qname    string
 	tenants  int
 	proto    string
 	streamAd string
 	idem     bool
 	outDir   string
-
-	autotune       bool
-	autotuneTrial  time.Duration
-	autotuneSweeps int
-
 	validate string
 	waitFor  time.Duration
 }
@@ -76,28 +63,22 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	fs.StringVar(&o.target, "target", "http://127.0.0.1:8080", "sketchd base URL")
 	fs.StringVar(&o.streams, "streams", "F,G", "comma-separated stream names to drive round-robin")
-	fs.BoolVar(&o.declare, "declare", false, "declare the streams (and register the query) before the run; existing declarations are tolerated")
+	fs.BoolVar(&o.declare, "declare", false, "declare the streams and register the COUNT join query "+queryName+" before the run; existing declarations are tolerated")
 	fs.Uint64Var(&o.domain, "domain", 1<<16, "stream domain [0, domain)")
 	fs.StringVar(&o.shape, "shape", "zipf:1.0", `workload shape: "uniform", "zipf", "zipf:Z", optional "+shift:S"`)
 	fs.Int64Var(&o.seed, "seed", 42, "workload generator seed (runs are reproducible per seed)")
 	fs.Float64Var(&o.rate, "rate", 0, "target arrival rate in updates/sec (0 = unpaced, as fast as the queue drains)")
-	fs.IntVar(&o.burst, "burst", 0, "token-bucket burst size in updates (0 = one batch)")
 	fs.DurationVar(&o.duration, "duration", 10*time.Second, "run length (ignored when -updates > 0)")
 	fs.Int64Var(&o.updates, "updates", 0, "stop after exactly this many generated updates instead of -duration")
 	fs.IntVar(&o.workers, "ingest.workers", 4, "concurrent ingest sender goroutines")
 	fs.IntVar(&o.batch, "ingest.batch", 256, "updates per /update request")
 	fs.IntVar(&o.queue, "ingest.queue", 64, "client-side queue depth in batches (full queue = open-loop shed)")
-	fs.IntVar(&o.qworkers, "query.workers", 0, "concurrent /answer goroutines (0 = no query stream)")
-	fs.StringVar(&o.qname, "query.name", "q", "query to answer (and to register under -declare)")
 	fs.IntVar(&o.tenants, "tenants", 0, "fan the run out across N tenant namespaces (t0..tN-1), each batch's tenant drawn from the seeded workload shape; reports carry exact per-tenant reconciliation (0 or 1 = single default tenant)")
 	fs.StringVar(&o.proto, "proto", "json", `ingest protocol: "json" (HTTP /update) or "skimp" (SKSP binary streaming; needs -stream.addr)`)
 	fs.StringVar(&o.streamAd, "stream.addr", "", "sketchd -listen.stream host:port for -proto=skimp")
 	fs.BoolVar(&o.idem, "idempotency", true, "stamp JSON /update batches with Idempotency-Key headers so retries after lost responses cannot double-apply (skimp frames always carry one)")
-	fs.StringVar(&o.outDir, "out", ".", "directory for BENCH_*.json reports")
-	fs.BoolVar(&o.autotune, "autotune", false, "search -ingest.*/-query.workers for max throughput before the measured run")
-	fs.DurationVar(&o.autotuneTrial, "autotune.trial", 2*time.Second, "duration of each autotune trial")
-	fs.IntVar(&o.autotuneSweeps, "autotune.sweeps", 4, "max coordinate-descent sweeps")
-	fs.StringVar(&o.validate, "validate", "", "comma-separated BENCH_*.json files to validate instead of running (CI gate)")
+	fs.StringVar(&o.outDir, "out", ".", "directory for the BENCH_ingest.json report")
+	fs.StringVar(&o.validate, "validate", "", "comma-separated BENCH_ingest.json files to validate instead of running")
 	fs.DurationVar(&o.waitFor, "wait", 10*time.Second, "how long to wait for the target's /healthz before giving up")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
@@ -128,13 +109,11 @@ func (o options) config() loadtest.Config {
 		Domain:       o.domain,
 		Seed:         o.seed,
 		Rate:         o.rate,
-		Burst:        o.burst,
 		Workers:      o.workers,
 		Batch:        o.batch,
 		QueueDepth:   o.queue,
 		Duration:     o.duration,
 		TotalUpdates: o.updates,
-		QueryWorkers: o.qworkers,
 		Tenants:      o.tenants,
 		Proto:        o.proto,
 		StreamAddr:   o.streamAd,
@@ -147,9 +126,6 @@ func (o options) config() loadtest.Config {
 			cfg.Streams = append(cfg.Streams, s)
 		}
 	}
-	if o.qworkers > 0 {
-		cfg.QueryName = o.qname
-	}
 	if o.updates > 0 {
 		cfg.Duration = 0
 	}
@@ -157,7 +133,7 @@ func (o options) config() loadtest.Config {
 }
 
 // run executes one harness invocation: validate mode, or wait-ready →
-// declare → (autotune →) measured run → BENCH reports.
+// declare → run → BENCH_ingest.json.
 func run(ctx context.Context, opts options, out io.Writer) error {
 	if opts.validate != "" {
 		return validateReports(opts.validate, out)
@@ -178,42 +154,18 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		}
 	}
 
-	if opts.autotune {
-		base := cfg
-		base.Duration = opts.autotuneTrial
-		base.TotalUpdates = 0
-		fmt.Fprintf(out, "loadgen autotuning (%s trials, <= %d sweeps)\n", opts.autotuneTrial, opts.autotuneSweeps)
-		at, err := loadtest.Autotune(ctx, loadtest.AutotuneOptions{
-			Base:      base,
-			MaxSweeps: opts.autotuneSweeps,
-		}, nil, time.Now())
-		if err != nil {
-			return err
-		}
-		atPath := filepath.Join(opts.outDir, "BENCH_autotune.json")
-		if err := loadtest.WriteAutotuneResult(atPath, at); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "loadgen autotune best: workers=%d batch=%d queue=%d queryWorkers=%d (%.0f updates/s over %d trials) -> %s\n",
-			at.Best.Workers, at.Best.Batch, at.Best.QueueDepth, at.Best.QueryWorkers,
-			at.Best.Throughput, len(at.Trials), atPath)
-		cfg = at.BestConfig(cfg)
-	}
-
 	res, err := loadtest.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	now := time.Now()
-	ingest := loadtest.IngestReport(res, now)
+	ingest := loadtest.IngestReport(res, time.Now())
 	ingestPath := filepath.Join(opts.outDir, "BENCH_ingest.json")
 	if err := loadtest.WriteReport(ingestPath, ingest); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "loadgen ingest [%s]: %.0f updates/s (%d updates, %d requests, %d x 429, %d retries, %d shed, %d errors) p50=%s p99=%s -> %s\n",
-		cfg.Proto, ingest.ThroughputPerSec, ingest.Updates, ingest.Requests, ingest.Rejected429,
-		ingest.Retries, ingest.Shed, ingest.Errors,
-		time.Duration(ingest.Latency.P50Ns), time.Duration(ingest.Latency.P99Ns), ingestPath)
+	fmt.Fprintf(out, "loadgen ingest [%s]: %d updates acked, %d applied by the server (%d requests, %d x 429, %d retries, %d shed, %d errors) -> %s\n",
+		cfg.Proto, ingest.Updates, ingest.Server.UpdatesApplied, ingest.Requests, ingest.Rejected429,
+		ingest.Retries, ingest.Shed, ingest.Errors, ingestPath)
 	for _, t := range res.Tenants {
 		status := "reconciled"
 		if t.UpdatesSent != t.ServerUpdates {
@@ -222,28 +174,29 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		fmt.Fprintf(out, "loadgen tenant %s: client %d / server %d updates (%s), %d rejected by quota\n",
 			t.Tenant, t.UpdatesSent, t.ServerUpdates, status, t.ServerRejected)
 	}
-	if cfg.QueryWorkers > 0 {
-		query := loadtest.QueryReport(res, now)
-		queryPath := filepath.Join(opts.outDir, "BENCH_query.json")
-		if err := loadtest.WriteReport(queryPath, query); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "loadgen query:  %.0f answers/s (%d requests, %d errors) p50=%s p99=%s -> %s\n",
-			query.ThroughputPerSec, query.Requests, query.Errors,
-			time.Duration(query.Latency.P50Ns), time.Duration(query.Latency.P99Ns), queryPath)
-	}
 	if res.Ingest.Errors > 0 {
 		return fmt.Errorf("run finished with %d permanent ingest errors", res.Ingest.Errors)
 	}
 	return nil
 }
 
+// queryName is the COUNT join query -declare registers, the name
+// perfbench registers too.
+const queryName = "q"
+
 // declareWorkload declares the run's streams and registers the COUNT
-// query for the mixed stream, tolerating declarations that already
-// exist so repeated runs against a warm server work. With -tenants N
-// the same setup is repeated in every tenant namespace (plus the
-// default tenant, which the mixed query stream targets).
+// join query over them, tolerating declarations that already exist so
+// repeated runs against a warm server work. The query is what makes a
+// synopsis exist: without it no update is folded in and the report's
+// updates == server.updatesApplied identity fails. With -tenants N the
+// same setup is repeated in every tenant namespace (plus the default
+// tenant). One stream joins itself; more than two would leave the rest
+// without a synopsis.
 func declareWorkload(ctx context.Context, client *loadtest.Client, cfg loadtest.Config, out io.Writer) error {
+	if n := len(cfg.Streams); n == 0 || n > 2 {
+		return fmt.Errorf("-declare joins one or two streams in query %s, have %d", queryName, n)
+	}
+	left, right := cfg.Streams[0], cfg.Streams[len(cfg.Streams)-1]
 	clients := []*loadtest.Client{client}
 	for _, name := range loadtest.TenantNames(cfg.Tenants) {
 		clients = append(clients, client.ForTenant(name))
@@ -263,16 +216,10 @@ func declareWorkload(ctx context.Context, client *loadtest.Client, cfg loadtest.
 				return err
 			}
 		}
-		if cfg.QueryName == "" {
-			continue
-		}
-		if len(cfg.Streams) < 2 {
-			return fmt.Errorf("query stream needs two streams to join, have %d", len(cfg.Streams))
-		}
-		err := c.RegisterCountQuery(ctx, cfg.QueryName, cfg.Streams[0], cfg.Streams[1])
+		err := c.RegisterCountQuery(ctx, queryName, left, right)
 		switch {
 		case err == nil:
-			fmt.Fprintf(out, "loadgen registered query %s%s = COUNT(%s join %s)\n", cfg.QueryName, label, cfg.Streams[0], cfg.Streams[1])
+			fmt.Fprintf(out, "loadgen registered query %s%s = COUNT(%s join %s)\n", queryName, label, left, right)
 		case strings.Contains(err.Error(), "already registered"):
 		default:
 			return err
@@ -281,8 +228,9 @@ func declareWorkload(ctx context.Context, client *loadtest.Client, cfg loadtest.
 	return nil
 }
 
-// validateReports is the bench-smoke gate: every named file must be a
-// schema-valid BENCH report with nonzero traffic and throughput.
+// validateReports is the reconciliation gate of the integration
+// scripts: every named file must be a schema-valid BENCH report whose
+// counts reconcile, with nonzero traffic.
 func validateReports(list string, out io.Writer) error {
 	var checked int
 	for _, path := range strings.Split(list, ",") {
@@ -297,14 +245,10 @@ func validateReports(list string, out io.Writer) error {
 		if err := rep.Validate(); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		if rep.Requests == 0 || rep.ThroughputPerSec <= 0 {
-			return fmt.Errorf("%s: no traffic recorded (requests=%d, throughput=%v)", path, rep.Requests, rep.ThroughputPerSec)
-		}
-		if rep.Kind == "ingest" && rep.Updates == 0 {
+		if rep.Updates == 0 {
 			return fmt.Errorf("%s: ingest report with zero updates", path)
 		}
-		fmt.Fprintf(out, "loadgen validate %s: ok (%s, %.0f/s, p99=%s)\n",
-			path, rep.Kind, rep.ThroughputPerSec, time.Duration(rep.Latency.P99Ns))
+		fmt.Fprintf(out, "loadgen validate %s: ok (%d updates reconciled)\n", path, rep.Updates)
 		checked++
 	}
 	if checked == 0 {

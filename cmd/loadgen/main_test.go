@@ -16,17 +16,48 @@ import (
 )
 
 // fakeTarget is a minimal sketchd stand-in for exercising the binary's
-// run path without booting an engine.
+// run path without booting an engine. Like sketchd, it folds an update
+// in (updatesApplied) only once a query gives the stream a synopsis.
 type fakeTarget struct {
 	mu       sync.Mutex
-	requests int64
+	enqueued int64
 	applied  int64
 	declared map[string]bool
-	queries  map[string]bool
+	// queries holds the registered query names as "tenant/name" ("" is
+	// the default tenant).
+	queries map[string]bool
 }
 
 func newFakeTarget() *fakeTarget {
 	return &fakeTarget{declared: map[string]bool{}, queries: map[string]bool{}}
+}
+
+// register records one declaration under its tenant, answering 409 for
+// a repeat as sketchd does.
+func (f *fakeTarget) register(set map[string]bool, dupErr string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req struct{ Name string }
+		json.NewDecoder(r.Body).Decode(&req)
+		key := r.PathValue("tenant") + "/" + req.Name
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if set[key] {
+			w.WriteHeader(http.StatusConflict)
+			json.NewEncoder(w).Encode(map[string]string{"error": dupErr})
+			return
+		}
+		set[key] = true
+		w.WriteHeader(http.StatusCreated)
+		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
+	}
+}
+
+// registered reports whether the query key ("tenant/name") was
+// registered.
+func (f *fakeTarget) registered(key string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.queries[key]
 }
 
 func (f *fakeTarget) handler() http.Handler {
@@ -34,34 +65,10 @@ func (f *fakeTarget) handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
 	})
-	mux.HandleFunc("/streams", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ Name string }
-		json.NewDecoder(r.Body).Decode(&req)
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.declared[req.Name] {
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(map[string]string{"error": "engine: stream already declared"})
-			return
-		}
-		f.declared[req.Name] = true
-		w.WriteHeader(http.StatusCreated)
-		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/queries", func(w http.ResponseWriter, r *http.Request) {
-		var req struct{ Name string }
-		json.NewDecoder(r.Body).Decode(&req)
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.queries[req.Name] {
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(map[string]string{"error": "engine: query already registered"})
-			return
-		}
-		f.queries[req.Name] = true
-		w.WriteHeader(http.StatusCreated)
-		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-	})
+	for _, prefix := range []string{"", "/t/{tenant}"} {
+		mux.HandleFunc(prefix+"/streams", f.register(f.declared, "engine: stream already declared"))
+		mux.HandleFunc(prefix+"/queries", f.register(f.queries, "engine: query already registered"))
+	}
 	mux.HandleFunc("/update", func(w http.ResponseWriter, r *http.Request) {
 		var batch []loadtest.Update
 		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
@@ -69,26 +76,23 @@ func (f *fakeTarget) handler() http.Handler {
 			return
 		}
 		f.mu.Lock()
-		f.requests++
-		f.applied += int64(len(batch))
+		f.enqueued += int64(len(batch))
+		if len(f.queries) > 0 {
+			f.applied += int64(len(batch))
+		}
 		f.mu.Unlock()
 		json.NewEncoder(w).Encode(map[string]int{"applied": len(batch)})
 	})
 	mux.HandleFunc("/flush", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/answer", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{"estimate": 0})
-	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		json.NewEncoder(w).Encode(map[string]any{
 			"ingest": map[string]any{
-				"updatesEnqueued": f.applied, "updatesApplied": f.applied, "rejected": 0,
+				"updatesEnqueued": f.enqueued, "updatesApplied": f.applied, "rejected": 0,
 			},
-			"updateLatency": map[string]any{"count": f.requests, "meanNs": 1000.0, "maxNs": 2000, "p99Ns": 1500},
-			"uptimeSeconds": 1.0,
 		})
 	})
 	return mux
@@ -109,9 +113,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if len(cfg.Streams) != 2 || cfg.Streams[0] != "F" || cfg.Streams[1] != "G" {
 		t.Fatalf("default streams parsed as %v", cfg.Streams)
 	}
-	if cfg.QueryName != "" {
-		t.Fatal("query name set without query workers")
-	}
 	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
@@ -119,8 +120,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 
 // TestRunEndToEnd drives the binary's run path against a fake target:
 // declare (twice — the second run must tolerate existing declarations),
-// push a fixed burst, and check the emitted BENCH files pass the
-// binary's own -validate gate.
+// push a fixed burst, and check the emitted report passes the binary's
+// own -validate gate.
 func TestRunEndToEnd(t *testing.T) {
 	fake := newFakeTarget()
 	ts := httptest.NewServer(fake.handler())
@@ -131,7 +132,6 @@ func TestRunEndToEnd(t *testing.T) {
 		"-target", ts.URL, "-declare",
 		"-updates", "2000", "-seed", "7", "-domain", "1024",
 		"-ingest.workers", "2", "-ingest.batch", "50", "-ingest.queue", "32",
-		"-query.workers", "1",
 		"-out", dir,
 	}
 	for i := 0; i < 2; i++ {
@@ -146,13 +146,7 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 
 	ingestPath := filepath.Join(dir, "BENCH_ingest.json")
-	queryPath := filepath.Join(dir, "BENCH_query.json")
-	for _, p := range []string{ingestPath, queryPath} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("missing report: %v", err)
-		}
-	}
-	opts, err := parseFlags([]string{"-validate", ingestPath + "," + queryPath})
+	opts, err := parseFlags([]string{"-validate", ingestPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,25 +154,22 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run(context.Background(), opts, &buf); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	if !strings.Contains(buf.String(), "ok (ingest") || !strings.Contains(buf.String(), "ok (query") {
-		t.Fatalf("validate output missing per-file lines:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "ok (") {
+		t.Fatalf("validate output missing the per-file line:\n%s", buf.String())
 	}
 }
 
-// TestRunAutotuneEmitsCurve: -autotune against the fake target writes a
-// schema-tagged BENCH_autotune.json whose first trial is the flag
-// configuration.
-func TestRunAutotuneEmitsCurve(t *testing.T) {
+// TestDeclareRegistersQuery: -declare registers the COUNT join query q
+// on its own, with no query flag, so the run's updates reach a synopsis
+// and the report's updates == server.updatesApplied; with -tenants it
+// does so in every tenant it declares.
+func TestDeclareRegistersQuery(t *testing.T) {
 	fake := newFakeTarget()
 	ts := httptest.NewServer(fake.handler())
 	defer ts.Close()
 	dir := t.TempDir()
 	opts, err := parseFlags([]string{
-		"-target", ts.URL, "-declare",
-		"-updates", "500", "-domain", "256",
-		"-ingest.workers", "2", "-ingest.batch", "25", "-ingest.queue", "8",
-		"-autotune", "-autotune.trial", "50ms", "-autotune.sweeps", "1",
-		"-out", dir,
+		"-target", ts.URL, "-declare", "-updates", "1000", "-domain", "256", "-out", dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,26 +178,26 @@ func TestRunAutotuneEmitsCurve(t *testing.T) {
 	if err := run(context.Background(), opts, &buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_autotune.json"))
+	if !fake.registered("/q") {
+		t.Fatal("-declare registered no query q")
+	}
+	rep, err := loadtest.ReadReport(filepath.Join(dir, "BENCH_ingest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var at loadtest.AutotuneResult
-	if err := json.Unmarshal(data, &at); err != nil {
+	if rep.Updates == 0 || rep.Updates != rep.Server.UpdatesApplied {
+		t.Fatalf("updates %d, server updatesApplied %d: want equal and nonzero", rep.Updates, rep.Server.UpdatesApplied)
+	}
+
+	cfg := opts.config()
+	cfg.Tenants = 2
+	if err := declareWorkload(context.Background(), &loadtest.Client{BaseURL: ts.URL}, cfg, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if at.Schema != loadtest.AutotuneSchema {
-		t.Fatalf("schema %q", at.Schema)
-	}
-	if len(at.Trials) == 0 || at.Trials[0].Workers != 2 || at.Trials[0].Batch != 25 {
-		t.Fatalf("first trial is not the flag config: %+v", at.Trials)
-	}
-	if at.Best.Throughput < at.Trials[0].Throughput {
-		t.Fatalf("best %v slower than base %v", at.Best.Throughput, at.Trials[0].Throughput)
-	}
-	// The measured run after tuning still emitted the ingest report.
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_ingest.json")); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"t0/q", "t1/q"} {
+		if !fake.registered(key) {
+			t.Errorf("query %s not registered", key)
+		}
 	}
 }
 

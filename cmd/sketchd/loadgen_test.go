@@ -20,9 +20,8 @@ import (
 // test: a real sketchd (engine + HTTP server + concurrent ingest
 // pipeline) booted via httptest, a seeded loadgen burst, then exact
 // reconciliation — every update the harness reports accepted is in the
-// engine, the server's monotonic /update latency count matches the
-// client's request count, and the emitted BENCH JSON validates against
-// the documented schema.
+// engine, and the emitted BENCH JSON validates against the documented
+// schema.
 func TestLoadHarnessReconciliation(t *testing.T) {
 	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 256, Seed: 11}})
 	if err != nil {
@@ -59,8 +58,6 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 		Batch:        100,
 		QueueDepth:   128, // deep enough that nothing sheds: exact volume
 		TotalUpdates: totalUpdates,
-		QueryWorkers: 1,
-		QueryName:    "q",
 		Client: loadtest.Client{Backoff: distributed.Backoff{
 			Base: time.Millisecond, Max: 10 * time.Millisecond,
 			Rand: rand.New(rand.NewSource(5)),
@@ -87,37 +84,22 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 	if res.Ingest.Rejected429 != res.Server.Ingest.Rejected {
 		t.Fatalf("client saw %d 429s, server counted %d rejections", res.Ingest.Rejected429, res.Server.Ingest.Rejected)
 	}
-	if res.Ingest.Requests != res.Server.UpdateLatency.Count {
-		t.Fatalf("client made %d requests, server's monotonic latency histogram holds %d",
-			res.Ingest.Requests, res.Server.UpdateLatency.Count)
-	}
 	// And against the engine directly, not just /stats.
 	if got := eng.IngestStats().UpdatesApplied; got != res.Ingest.Updates {
 		t.Fatalf("engine applied %d, client accepted %d", got, res.Ingest.Updates)
 	}
 
-	// The emitted BENCH files validate against the documented schema.
-	dir := t.TempDir()
-	now := time.Now()
-	ingestPath := filepath.Join(dir, "BENCH_ingest.json")
-	queryPath := filepath.Join(dir, "BENCH_query.json")
-	if err := loadtest.WriteReport(ingestPath, loadtest.IngestReport(res, now)); err != nil {
+	// The emitted BENCH file validates against the documented schema.
+	ingestPath := filepath.Join(t.TempDir(), "BENCH_ingest.json")
+	if err := loadtest.WriteReport(ingestPath, loadtest.IngestReport(res, time.Now())); err != nil {
 		t.Fatal(err)
 	}
-	if err := loadtest.WriteReport(queryPath, loadtest.QueryReport(res, now)); err != nil {
+	rep, err := loadtest.ReadReport(ingestPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{ingestPath, queryPath} {
-		rep, err := loadtest.ReadReport(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Validate(); err != nil {
-			t.Fatalf("%s: %v", filepath.Base(p), err)
-		}
-		if rep.ThroughputPerSec <= 0 {
-			t.Fatalf("%s: zero throughput", filepath.Base(p))
-		}
+	if err := rep.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

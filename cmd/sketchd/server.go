@@ -413,8 +413,8 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Every /update outcome — applied, rejected, malformed — is timed on
-	// the monotonic clock into the server-side latency histogram, so the
-	// request count the harness reconciles against includes 429s.
+	// the monotonic clock into the server-side latency histogram, so its
+	// count is requests, 429s included.
 	t0 := time.Now()
 	defer func() { s.recordUpdateLatency(time.Since(t0)) }()
 	d, err := httpapi.DecodeUpdates(r, requestTenant(r))
@@ -642,11 +642,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// saturated mirrors the admission probe behind /update's 429:
 		// true while at least one ingest queue is full.
 		"saturated": s.eng.IngestSaturated(),
-		// updateLatency is the server-side /update handling histogram
-		// and uptimeSeconds the process age, both on the monotonic
-		// clock — the fields cmd/loadgen reconciles its client-side
-		// measurements against (request counts must match exactly;
-		// latencies must bracket from below).
+		// updateLatency is the server-side JSON /update handling
+		// histogram and uptimeSeconds the process age, both on the
+		// monotonic clock. SKSP frames are not timed here.
 		"updateLatency": s.updateLatencySnapshot(),
 		"uptimeSeconds": time.Since(s.start).Seconds(),
 	}

@@ -1,14 +1,12 @@
-// Package loadtest is the end-to-end load harness behind cmd/loadgen:
-// an open-loop generator that drives a live sketchd over HTTP with a
-// token-bucket rate model, bounded queue depth, concurrent ingest
-// workers honoring the server's 429/Retry-After backpressure contract,
-// an optional mixed query stream, and — centrally — latency percentiles
-// computed by merging per-worker log-bucketed histograms
-// (internal/stats.Histogram), never by averaging per-worker
-// percentiles. Results are emitted as BENCH_*.json reports
-// (docs/FORMATS.md) so the repo's speed trajectory is measurable across
-// PRs, and Autotune closes the loop by searching the client knobs
-// against short live trials.
+// Package loadtest is the exact-reconciliation driver behind
+// cmd/loadgen: an open-loop generator that drives a live sketchd over
+// JSON HTTP or SKSP with a token-bucket rate model, bounded queue depth
+// and concurrent ingest workers honoring the server's 429/Retry-After
+// backpressure contract, then reconciles every acknowledged update
+// against the server's own /stats counters, in total and per tenant.
+// The result is a BENCH_ingest.json report (docs/FORMATS.md). Client is
+// also the HTTP client perfbench drives sketchd with; speed and latency
+// are perfbench's to measure, not this package's.
 package loadtest
 
 import (
@@ -237,8 +235,8 @@ func (c *Client) WaitReady(ctx context.Context) error {
 }
 
 // SendOutcome is the accounting for one SendUpdates call: how many
-// request attempts it took, how many were shed with 429, and the
-// per-attempt latencies recorded into the worker's histogram.
+// request attempts it took, how many were shed with 429, and what the
+// final acknowledgement applied.
 type SendOutcome struct {
 	// Attempts is the number of HTTP requests made (1 + retries).
 	Attempts int64
@@ -323,21 +321,13 @@ func (c *Client) SendUpdates(ctx context.Context, batch []Update, hist *stats.Hi
 }
 
 // ServerStats is the subset of GET /stats the harness reconciles
-// against: the engine's exact ingest counters and the server-side
-// monotonic-clock /update latency histogram summary.
+// against: the engine's exact ingest counters.
 type ServerStats struct {
 	Ingest struct {
 		UpdatesEnqueued int64 `json:"updatesEnqueued"`
 		UpdatesApplied  int64 `json:"updatesApplied"`
 		Rejected        int64 `json:"rejected"`
 	} `json:"ingest"`
-	UpdateLatency struct {
-		Count  int64   `json:"count"`
-		MeanNs float64 `json:"meanNs"`
-		MaxNs  int64   `json:"maxNs"`
-		P99Ns  int64   `json:"p99Ns"`
-	} `json:"updateLatency"`
-	UptimeSeconds float64 `json:"uptimeSeconds"`
 }
 
 // Stats fetches the reconciliation subset of /stats.

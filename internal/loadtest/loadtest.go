@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 	wclient "skimsketch/internal/wire/client"
 	"skimsketch/internal/workload"
@@ -51,11 +50,9 @@ type Config struct {
 	Tenants int `json:"tenants,omitempty"`
 
 	// Rate is the open-loop arrival rate in updates/sec fed through a
-	// token bucket; 0 means unpaced (generate as fast as the queue
-	// accepts). Burst is the bucket capacity in updates (default: one
-	// batch).
-	Rate  float64 `json:"rate"`
-	Burst int     `json:"burst"`
+	// token bucket of one batch; 0 means unpaced (generate as fast as the
+	// queue accepts).
+	Rate float64 `json:"rate"`
 
 	// Workers is the number of concurrent ingest workers, Batch the
 	// updates per request, QueueDepth the bounded buffer (in batches)
@@ -71,11 +68,6 @@ type Config struct {
 	// that bound; at least one must be set).
 	Duration     time.Duration `json:"duration"`
 	TotalUpdates int64         `json:"totalUpdates"`
-
-	// QueryWorkers (with QueryName) adds a mixed closed-loop query
-	// stream against /answer for the run's duration.
-	QueryWorkers int    `json:"queryWorkers"`
-	QueryName    string `json:"queryName"`
 
 	// Proto selects the ingest wire protocol: ProtoJSON (default) or
 	// ProtoSkimp. StreamAddr is the sketchd -listen.stream host:port,
@@ -115,14 +107,8 @@ func (c *Config) applyDefaults() error {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Burst <= 0 {
-		c.Burst = c.Batch
-	}
 	if c.Duration <= 0 && c.TotalUpdates <= 0 {
 		return fmt.Errorf("loadtest: set Duration or TotalUpdates")
-	}
-	if c.QueryWorkers > 0 && c.QueryName == "" {
-		return fmt.Errorf("loadtest: QueryWorkers requires QueryName")
 	}
 	switch c.Proto {
 	case "":
@@ -140,18 +126,18 @@ func (c *Config) applyDefaults() error {
 
 // batchSender abstracts the ingest hot path over the two wire
 // protocols. Send delivers one batch for the tenant index (0 on
-// single-tenant runs), recording every attempt's latency into hist, and
-// returns the unified accounting the workers tally.
+// single-tenant runs) and returns the unified accounting the workers
+// tally.
 type batchSender interface {
-	Send(ctx context.Context, tenant int, updates []Update, hist *stats.Histogram) (SendOutcome, error)
+	Send(ctx context.Context, tenant int, updates []Update) (SendOutcome, error)
 	Close() error
 }
 
 // jsonSender drives /update with one tenant-scoped HTTP client each.
 type jsonSender struct{ clients []*Client }
 
-func (s *jsonSender) Send(ctx context.Context, tenant int, updates []Update, hist *stats.Histogram) (SendOutcome, error) {
-	return s.clients[tenant].SendUpdates(ctx, updates, hist)
+func (s *jsonSender) Send(ctx context.Context, tenant int, updates []Update) (SendOutcome, error) {
+	return s.clients[tenant].SendUpdates(ctx, updates, nil)
 }
 
 func (s *jsonSender) Close() error { return nil }
@@ -167,16 +153,12 @@ type skimpSender struct {
 	tenants []string
 }
 
-func (s *skimpSender) Send(ctx context.Context, tenant int, updates []Update, hist *stats.Histogram) (SendOutcome, error) {
+func (s *skimpSender) Send(ctx context.Context, tenant int, updates []Update) (SendOutcome, error) {
 	name := ""
 	if s.tenants != nil {
 		name = s.tenants[tenant]
 	}
-	var onAttempt func(time.Duration)
-	if hist != nil {
-		onAttempt = func(d time.Duration) { hist.Record(int64(d)) }
-	}
-	out, err := s.conn.SendTimed(ctx, name, toGroups(updates), onAttempt)
+	out, err := s.conn.Send(ctx, name, toGroups(updates))
 	return SendOutcome{
 		Attempts:     int64(out.Attempts),
 		Rejected429:  int64(out.Rejected429),
@@ -211,14 +193,12 @@ func toGroups(updates []Update) []stream.Group {
 	return groups
 }
 
-// SideResult aggregates one side (ingest or query) of a run. The
-// histogram is the merge of every worker's histogram — the only
-// percentile source the harness offers.
+// SideResult is the client-side accounting of a run's ingest, summed
+// over the workers.
 type SideResult struct {
-	// Requests counts HTTP attempts (for ingest: including 429'd ones).
+	// Requests counts send attempts, including 429'd ones.
 	Requests int64
-	// Updates counts stream elements acknowledged by 2xx responses
-	// (ingest side) — zero on the query side.
+	// Updates counts stream elements acknowledged by the server.
 	Updates int64
 	// Rejected429 counts attempts answered 429.
 	Rejected429 int64
@@ -229,17 +209,14 @@ type SideResult struct {
 	// Shed counts updates dropped client-side because the bounded queue
 	// was full when they arrived (open-loop overflow).
 	Shed int64
-	// Hist is the merged latency histogram across workers (monotonic
-	// nanoseconds per HTTP attempt).
-	Hist *stats.Histogram
 }
 
-// Result is one harness run's measurements plus the server's own view.
+// Result is one harness run's client accounting plus the server's own
+// view.
 type Result struct {
 	Config  Config
 	Elapsed time.Duration
 	Ingest  SideResult
-	Query   SideResult
 	// Server is /stats fetched after a flush: the reconciliation
 	// anchor. Counters are deltas over the run (a pre-run /stats is
 	// subtracted), so a warm server reconciles too.
@@ -321,10 +298,9 @@ func (tb *tokenBucket) take(ctx context.Context, n int) error {
 	}
 }
 
-// workerTally is one ingest worker's private accounting; merged after
-// the run (never averaged).
+// workerTally is one ingest worker's private accounting, summed after
+// the run.
 type workerTally struct {
-	hist                                               stats.Histogram
 	requests, updates, rejected429, retries, errorsCnt int64
 	// byTenant is the per-tenant slice of updates (indexed like the
 	// run's tenant list; nil on single-tenant runs).
@@ -340,10 +316,10 @@ type tenantBatch struct {
 
 // Run executes one load-harness run against a live sketchd: an arrival
 // goroutine paces batches through the token bucket into a bounded
-// queue, Workers ingest workers drain it honoring the 429 contract, and
-// (optionally) QueryWorkers hammer /answer. It then flushes the server
-// and fetches /stats so callers can reconcile exact counts. Run does
-// not declare streams or queries — do setup first, then Run.
+// queue, and Workers ingest workers drain it honoring the 429 contract.
+// It then flushes the server and fetches /stats so callers can
+// reconcile exact counts. Run does not declare streams or queries — do
+// setup first, then Run.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -422,7 +398,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	go func() {
 		defer genWG.Done()
 		defer close(queue)
-		tb := newTokenBucket(cfg.Rate, cfg.Burst)
+		tb := newTokenBucket(cfg.Rate, cfg.Batch)
 		var produced int64
 		for s := 0; ; s = (s + 1) % len(cfg.Streams) {
 			if cfg.TotalUpdates > 0 && produced >= cfg.TotalUpdates {
@@ -468,7 +444,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				// Deliveries use ctx, not runCtx: when the duration
 				// expires mid-flight, in-queue batches still finish so
 				// accounting reconciles exactly.
-				out, err := sender.Send(ctx, item.tenant, item.updates, &tally.hist)
+				out, err := sender.Send(ctx, item.tenant, item.updates)
 				tally.requests += out.Attempts
 				tally.rejected429 += out.Rejected429
 				if out.Attempts > 1 {
@@ -486,38 +462,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}()
 	}
 
-	// Optional mixed query stream: closed-loop workers issuing /answer
-	// back to back until the ingest side finishes.
-	qTallies := make([]*workerTally, cfg.QueryWorkers)
-	var qWG sync.WaitGroup
-	qCtx, qCancel := context.WithCancel(ctx)
-	for w := 0; w < cfg.QueryWorkers; w++ {
-		tally := &workerTally{}
-		qTallies[w] = tally
-		qWG.Add(1)
-		go func() {
-			defer qWG.Done()
-			for qCtx.Err() == nil {
-				t0 := time.Now()
-				err := client.Answer(qCtx, cfg.QueryName, nil)
-				if qCtx.Err() != nil {
-					return // canceled mid-request: neither counted nor recorded
-				}
-				// Timed here, not inside Answer, so the histogram count
-				// always equals the request count.
-				tally.hist.Record(int64(time.Since(t0)))
-				tally.requests++
-				if err != nil {
-					tally.errorsCnt++
-				}
-			}
-		}()
-	}
-
 	genWG.Wait()
 	workWG.Wait()
-	qCancel()
-	qWG.Wait()
 	elapsed := time.Since(start)
 
 	// Flush so every accepted update is folded in, then reconcile.
@@ -532,12 +478,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	server.Ingest.UpdatesEnqueued -= pre.Ingest.UpdatesEnqueued
 	server.Ingest.UpdatesApplied -= pre.Ingest.UpdatesApplied
 	server.Ingest.Rejected -= pre.Ingest.Rejected
-	server.UpdateLatency.Count -= pre.UpdateLatency.Count
 
 	res := &Result{Config: cfg, Elapsed: elapsed, Server: server}
 	res.Ingest = mergeTallies(tallies)
 	res.Ingest.Shed = shed.Load()
-	res.Query = mergeTallies(qTallies)
 
 	// Per-tenant reconciliation: each tenant's client-acknowledged
 	// updates against its own /stats deltas. These are the rows
@@ -562,23 +506,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mergeTallies folds per-worker tallies into one SideResult; the
-// histograms merge bucket-wise (stats.MergeHistograms), which is what
-// makes the global percentiles exact rather than averaged nonsense.
+// mergeTallies sums the per-worker tallies into one SideResult.
 func mergeTallies(tallies []*workerTally) SideResult {
 	var out SideResult
-	hists := make([]*stats.Histogram, 0, len(tallies))
 	for _, t := range tallies {
-		if t == nil {
-			continue
-		}
 		out.Requests += t.requests
 		out.Updates += t.updates
 		out.Rejected429 += t.rejected429
 		out.Retries += t.retries
 		out.Errors += t.errorsCnt
-		hists = append(hists, &t.hist)
 	}
-	out.Hist = stats.MergeHistograms(hists...)
 	return out
 }

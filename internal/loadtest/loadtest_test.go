@@ -24,7 +24,7 @@ type fakeSketchd struct {
 	rejectEvery int64
 	retryAfter  string
 
-	requests int64 // /update requests seen (= server latency count)
+	requests int64 // /update requests seen
 	applied  int64 // updates folded in
 	rejected int64 // 429 responses issued
 }
@@ -60,9 +60,6 @@ func (f *fakeSketchd) handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
 	})
-	mux.HandleFunc("/answer", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{"estimate": 1.0})
-	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -72,8 +69,6 @@ func (f *fakeSketchd) handler() http.Handler {
 				"updatesApplied":  f.applied,
 				"rejected":        f.rejected,
 			},
-			"updateLatency": map[string]any{"count": f.requests, "meanNs": 1000.0, "maxNs": 2000, "p99Ns": 1500},
-			"uptimeSeconds": 1.0,
 		})
 	})
 	return mux
@@ -95,9 +90,9 @@ func fastBackoff() distributed.Backoff {
 
 // TestRunReconcilesAgainstFake: every update the harness reports
 // accepted was applied exactly once, every 429 it observed was a
-// server-side rejection, and its request count matches the server's
-// latency-histogram count — the accounting identity the real
-// reconciliation test (cmd/sketchd) re-checks against a live engine.
+// server-side rejection, and its request count matches the requests the
+// server saw — the accounting identity the real reconciliation test
+// (cmd/sketchd) re-checks against a live engine.
 func TestRunReconcilesAgainstFake(t *testing.T) {
 	fake := &fakeSketchd{rejectEvery: 5}
 	ts := httptest.NewServer(fake.handler())
@@ -131,9 +126,6 @@ func TestRunReconcilesAgainstFake(t *testing.T) {
 	if res.Ingest.Requests != requests {
 		t.Fatalf("client made %d requests, server counted %d", res.Ingest.Requests, requests)
 	}
-	if res.Ingest.Hist.Count() != res.Ingest.Requests {
-		t.Fatalf("histogram holds %d samples for %d requests", res.Ingest.Hist.Count(), res.Ingest.Requests)
-	}
 	// Open loop: generated = delivered + shed; deliveries were 5000 - shed.
 	if got := res.Ingest.Updates + res.Ingest.Shed; got != 5000 {
 		t.Fatalf("accepted %d + shed %d = %d, want 5000", res.Ingest.Updates, res.Ingest.Shed, got)
@@ -142,7 +134,7 @@ func TestRunReconcilesAgainstFake(t *testing.T) {
 		t.Fatal("fake never rejected; the 429 path was not exercised")
 	}
 	// The server echo in the result is the per-run delta.
-	if res.Server.Ingest.UpdatesApplied != applied || res.Server.UpdateLatency.Count != requests {
+	if res.Server.Ingest.UpdatesApplied != applied || res.Server.Ingest.Rejected != rejected {
 		t.Fatalf("server echo %+v does not match fake counters", res.Server)
 	}
 }
@@ -224,7 +216,6 @@ func TestTokenBucketPacing(t *testing.T) {
 		Workers:  2,
 		Batch:    10,
 		Rate:     2000, // updates/sec
-		Burst:    10,
 		Duration: 300 * time.Millisecond,
 		Client:   Client{Backoff: fastBackoff()},
 	}
@@ -242,45 +233,12 @@ func TestTokenBucketPacing(t *testing.T) {
 	}
 }
 
-// TestMixedQueryStream: query workers measure /answer with their own
-// merged histogram, independent of the ingest side.
-func TestMixedQueryStream(t *testing.T) {
-	fake := &fakeSketchd{}
-	ts := httptest.NewServer(fake.handler())
-	defer ts.Close()
-	res, err := Run(context.Background(), Config{
-		BaseURL:      ts.URL,
-		Streams:      []string{"F"},
-		Shape:        "zipf",
-		Domain:       256,
-		Workers:      1,
-		Batch:        20,
-		TotalUpdates: 400,
-		QueryWorkers: 2,
-		QueryName:    "q",
-		Client:       Client{Backoff: fastBackoff()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Query.Requests == 0 {
-		t.Fatal("no query requests issued")
-	}
-	if res.Query.Hist.Count() != res.Query.Requests {
-		t.Fatalf("query histogram %d samples for %d requests", res.Query.Hist.Count(), res.Query.Requests)
-	}
-	if res.Query.Errors != 0 {
-		t.Fatalf("query errors: %d", res.Query.Errors)
-	}
-}
-
 // TestConfigValidation: unrunnable configs fail fast with a reason.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},                    // no URL
 		{BaseURL: "http://x"}, // no streams
-		{BaseURL: "http://x", Streams: []string{"F"}},                                         // no bound
-		{BaseURL: "http://x", Streams: []string{"F"}, Duration: time.Second, QueryWorkers: 1}, // query without name
+		{BaseURL: "http://x", Streams: []string{"F"}}, // no bound
 	}
 	for i, cfg := range bad {
 		if _, err := Run(context.Background(), cfg); err == nil {

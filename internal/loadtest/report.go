@@ -7,128 +7,79 @@ import (
 	"os/exec"
 	"strings"
 	"time"
-
-	"skimsketch/internal/stats"
 )
 
-// BenchSchema identifies the BENCH_*.json layout; bump on breaking
-// change and keep docs/FORMATS.md in lockstep.
-const BenchSchema = "skimsketch-bench/1"
-
-// LatencySummary is the percentile block of a report. Every figure
-// derives from ONE merged histogram (stats.MergeHistograms over the
-// per-worker histograms); per-worker percentiles are never averaged.
-// Durations are monotonic-clock nanoseconds.
-type LatencySummary struct {
-	Unit   string  `json:"unit"` // always "ns"
-	Count  int64   `json:"count"`
-	MeanNs float64 `json:"meanNs"`
-	MinNs  int64   `json:"minNs"`
-	MaxNs  int64   `json:"maxNs"`
-	P50Ns  int64   `json:"p50Ns"`
-	P95Ns  int64   `json:"p95Ns"`
-	P99Ns  int64   `json:"p99Ns"`
-	P999Ns int64   `json:"p999Ns"`
-}
-
-// SummarizeLatency builds the percentile block from a merged histogram.
-func SummarizeLatency(h *stats.Histogram) LatencySummary {
-	return LatencySummary{
-		Unit:   "ns",
-		Count:  h.Count(),
-		MeanNs: h.Mean(),
-		MinNs:  h.Min(),
-		MaxNs:  h.Max(),
-		P50Ns:  stats.Quantile(h, 0.50),
-		P95Ns:  stats.Quantile(h, 0.95),
-		P99Ns:  stats.Quantile(h, 0.99),
-		P999Ns: stats.Quantile(h, 0.999),
-	}
-}
+// BenchSchema identifies the BENCH_ingest.json layout; bump on
+// breaking change and keep docs/FORMATS.md in lockstep.
+const BenchSchema = "skimsketch-bench/2"
 
 // ConfigEcho is the run configuration echoed into a report so a BENCH
-// file is self-describing (same box, same knobs → comparable curve).
+// file is self-describing.
 type ConfigEcho struct {
-	BaseURL      string   `json:"baseURL"`
-	Streams      []string `json:"streams"`
-	Shape        string   `json:"shape"`
-	Domain       uint64   `json:"domain"`
-	Seed         int64    `json:"seed"`
-	Rate         float64  `json:"rate"`
-	Burst        int      `json:"burst"`
-	Workers      int      `json:"workers"`
-	Batch        int      `json:"batch"`
-	QueueDepth   int      `json:"queueDepth"`
-	QueryWorkers int      `json:"queryWorkers"`
-	QueryName    string   `json:"queryName,omitempty"`
-	Tenants      int      `json:"tenants,omitempty"`
-	Proto        string   `json:"proto,omitempty"`
+	BaseURL    string   `json:"baseURL"`
+	Streams    []string `json:"streams"`
+	Shape      string   `json:"shape"`
+	Domain     uint64   `json:"domain"`
+	Seed       int64    `json:"seed"`
+	Rate       float64  `json:"rate"`
+	Workers    int      `json:"workers"`
+	Batch      int      `json:"batch"`
+	QueueDepth int      `json:"queueDepth"`
+	Tenants    int      `json:"tenants,omitempty"`
+	Proto      string   `json:"proto,omitempty"`
 }
 
 func echoConfig(c Config) ConfigEcho {
 	return ConfigEcho{
 		BaseURL: c.BaseURL, Streams: c.Streams, Shape: c.Shape,
-		Domain: c.Domain, Seed: c.Seed, Rate: c.Rate, Burst: c.Burst,
+		Domain: c.Domain, Seed: c.Seed, Rate: c.Rate,
 		Workers: c.Workers, Batch: c.Batch, QueueDepth: c.QueueDepth,
-		QueryWorkers: c.QueryWorkers, QueryName: c.QueryName,
 		Tenants: c.Tenants, Proto: c.Proto,
 	}
 }
 
-// ServerEcho is the server-side view embedded in an ingest report: the
-// engine's exact counters over the run plus its own monotonic-clock
-// /update latency, fetched from /stats after a flush. It is the
-// reconciliation anchor: updatesSent == updatesApplied + (what the
-// server shed), and requests == updateLatencyCount.
+// ServerEcho is the server-side view embedded in a report: the engine's
+// exact ingest counters over the run, fetched from /stats after a
+// flush. It is the reconciliation anchor: updates == updatesApplied.
 type ServerEcho struct {
-	UpdatesEnqueued     int64   `json:"updatesEnqueued"`
-	UpdatesApplied      int64   `json:"updatesApplied"`
-	RejectedRequests    int64   `json:"rejectedRequests"`
-	UpdateLatencyCount  int64   `json:"updateLatencyCount"`
-	UpdateLatencyP99Ns  int64   `json:"updateLatencyP99Ns"`
-	UpdateLatencyMeanNs float64 `json:"updateLatencyMeanNs"`
+	UpdatesEnqueued  int64 `json:"updatesEnqueued"`
+	UpdatesApplied   int64 `json:"updatesApplied"`
+	RejectedRequests int64 `json:"rejectedRequests"`
 }
 
-// BenchReport is one BENCH_*.json document. Kind "ingest" measures the
-// /update path (Updates > 0), kind "query" the /answer path.
+// BenchReport is one BENCH_ingest.json document: the client's accounting
+// of an ingest run beside the server's, so the two reconcile exactly.
+// Performance figures belong to perfbench, not here.
 type BenchReport struct {
 	Schema      string     `json:"schema"`
-	Kind        string     `json:"kind"` // "ingest" or "query"
+	Kind        string     `json:"kind"` // always "ingest"
 	GeneratedAt string     `json:"generatedAt"`
 	GitSHA      string     `json:"gitSHA,omitempty"`
 	Config      ConfigEcho `json:"config"`
 
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
-	// Requests counts HTTP attempts; Updates counts acknowledged stream
-	// elements (0 for kind "query").
-	Requests    int64 `json:"requests"`
-	Updates     int64 `json:"updates"`
-	Rejected429 int64 `json:"rejected429"`
-	Retries     int64 `json:"retries"`
-	Errors      int64 `json:"errors"`
-	Shed        int64 `json:"shed"`
-	// ThroughputPerSec is updates/sec for ingest, requests/sec for
-	// query.
-	ThroughputPerSec float64        `json:"throughputPerSec"`
-	Latency          LatencySummary `json:"latency"`
-	// Server is present on ingest reports (the query path has no
-	// server-side histogram yet).
-	Server *ServerEcho `json:"server,omitempty"`
+	// Requests counts send attempts; Updates counts acknowledged stream
+	// elements. Updates must stay the first "updates" key in the
+	// document: shell gates read it with a first-match sed.
+	Requests    int64       `json:"requests"`
+	Updates     int64       `json:"updates"`
+	Rejected429 int64       `json:"rejected429"`
+	Retries     int64       `json:"retries"`
+	Errors      int64       `json:"errors"`
+	Shed        int64       `json:"shed"`
+	Server      *ServerEcho `json:"server"`
 	// Tenants carries the per-tenant reconciliation rows of a
-	// multi-tenant ingest run; Validate requires every row's client and
-	// server update counts to match exactly.
+	// multi-tenant run; Validate requires every row's client and server
+	// update counts to match exactly.
 	Tenants []TenantRecon `json:"tenants,omitempty"`
 }
 
-// buildReport assembles one side of a Result into a report.
-func buildReport(kind string, res *Result, now time.Time) *BenchReport {
+// IngestReport builds the BENCH_ingest.json document for a run.
+func IngestReport(res *Result, now time.Time) *BenchReport {
 	side := res.Ingest
-	if kind == "query" {
-		side = res.Query
-	}
-	r := &BenchReport{
+	return &BenchReport{
 		Schema:      BenchSchema,
-		Kind:        kind,
+		Kind:        "ingest",
 		GeneratedAt: now.UTC().Format(time.RFC3339),
 		GitSHA:      GitSHA(),
 		Config:      echoConfig(res.Config),
@@ -140,44 +91,24 @@ func buildReport(kind string, res *Result, now time.Time) *BenchReport {
 		Retries:        side.Retries,
 		Errors:         side.Errors,
 		Shed:           side.Shed,
-		Latency:        SummarizeLatency(side.Hist),
+		Server: &ServerEcho{
+			UpdatesEnqueued:  res.Server.Ingest.UpdatesEnqueued,
+			UpdatesApplied:   res.Server.Ingest.UpdatesApplied,
+			RejectedRequests: res.Server.Ingest.Rejected,
+		},
+		Tenants: res.Tenants,
 	}
-	if res.Elapsed > 0 {
-		if kind == "ingest" {
-			r.ThroughputPerSec = float64(side.Updates) / res.Elapsed.Seconds()
-		} else {
-			r.ThroughputPerSec = float64(side.Requests) / res.Elapsed.Seconds()
-		}
-	}
-	if kind == "ingest" {
-		r.Tenants = res.Tenants
-		r.Server = &ServerEcho{
-			UpdatesEnqueued:     res.Server.Ingest.UpdatesEnqueued,
-			UpdatesApplied:      res.Server.Ingest.UpdatesApplied,
-			RejectedRequests:    res.Server.Ingest.Rejected,
-			UpdateLatencyCount:  res.Server.UpdateLatency.Count,
-			UpdateLatencyP99Ns:  res.Server.UpdateLatency.P99Ns,
-			UpdateLatencyMeanNs: res.Server.UpdateLatency.MeanNs,
-		}
-	}
-	return r
 }
 
-// IngestReport builds the BENCH_ingest.json document for a run.
-func IngestReport(res *Result, now time.Time) *BenchReport { return buildReport("ingest", res, now) }
-
-// QueryReport builds the BENCH_query.json document for a run.
-func QueryReport(res *Result, now time.Time) *BenchReport { return buildReport("query", res, now) }
-
 // Validate checks a report against the documented schema: identity
-// fields, non-negative counters, percentile ordering, and the
-// latency-count/request-count identity. It is what the deterministic
-// harness test and `loadgen -validate` run.
+// fields, non-negative counters, and the exact reconciliation of the
+// client's acknowledged updates with the server's applied updates, in
+// total and tenant by tenant. It is what `loadgen -validate` runs.
 func (r *BenchReport) Validate() error {
 	if r.Schema != BenchSchema {
 		return fmt.Errorf("bench: schema %q, want %q", r.Schema, BenchSchema)
 	}
-	if r.Kind != "ingest" && r.Kind != "query" {
+	if r.Kind != "ingest" {
 		return fmt.Errorf("bench: unknown kind %q", r.Kind)
 	}
 	if _, err := time.Parse(time.RFC3339, r.GeneratedAt); err != nil {
@@ -195,22 +126,14 @@ func (r *BenchReport) Validate() error {
 			return fmt.Errorf("bench: negative %s %d", name, v)
 		}
 	}
-	if r.ThroughputPerSec < 0 {
-		return fmt.Errorf("bench: negative throughput")
-	}
-	l := r.Latency
-	if l.Unit != "ns" {
-		return fmt.Errorf("bench: latency unit %q, want ns", l.Unit)
-	}
-	if l.Count != r.Requests {
-		return fmt.Errorf("bench: latency count %d != requests %d (a sample was dropped or double-counted)", l.Count, r.Requests)
-	}
-	if !(l.MinNs <= l.P50Ns && l.P50Ns <= l.P95Ns && l.P95Ns <= l.P99Ns && l.P99Ns <= l.P999Ns && l.P999Ns <= l.MaxNs) {
-		return fmt.Errorf("bench: percentiles not monotone: min %d p50 %d p95 %d p99 %d p999 %d max %d",
-			l.MinNs, l.P50Ns, l.P95Ns, l.P99Ns, l.P999Ns, l.MaxNs)
-	}
-	if r.Kind == "ingest" && r.Server == nil {
+	if r.Server == nil {
 		return fmt.Errorf("bench: ingest report missing server echo")
+	}
+	// Every acknowledged update must have been folded into a synopsis.
+	// A run whose updates reached no registered query reads 0 here.
+	if r.Updates != r.Server.UpdatesApplied {
+		return fmt.Errorf("bench: client acked %d updates but server updatesApplied is %d",
+			r.Updates, r.Server.UpdatesApplied)
 	}
 	// Multi-tenant runs must reconcile exactly, tenant by tenant: every
 	// acknowledged update appears in its own tenant's counters and only
@@ -226,7 +149,7 @@ func (r *BenchReport) Validate() error {
 		}
 		tenantUpdates += t.UpdatesSent
 	}
-	if len(r.Tenants) > 0 && r.Kind == "ingest" && tenantUpdates != r.Updates {
+	if len(r.Tenants) > 0 && tenantUpdates != r.Updates {
 		return fmt.Errorf("bench: per-tenant updates sum to %d but the run acked %d", tenantUpdates, r.Updates)
 	}
 	return nil
@@ -235,19 +158,14 @@ func (r *BenchReport) Validate() error {
 // WriteReport writes the report as indented JSON (trailing newline,
 // diff-friendly) to path.
 func WriteReport(path string, r *BenchReport) error {
-	return writeJSONFile(path, r)
-}
-
-// writeJSONFile renders v as indented JSON with a trailing newline.
-func writeJSONFile(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadReport loads and parses one BENCH_*.json file (it does not
+// ReadReport loads and parses one BENCH_ingest.json file (it does not
 // validate; callers chain .Validate()).
 func ReadReport(path string) (*BenchReport, error) {
 	data, err := os.ReadFile(path)

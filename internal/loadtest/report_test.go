@@ -6,74 +6,47 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"skimsketch/internal/stats"
 )
 
 // sampleResult builds a result with internally consistent accounting.
 func sampleResult() *Result {
-	var ih, qh stats.Histogram
-	for i := int64(1); i <= 100; i++ {
-		ih.Record(i * 10_000)
-	}
-	for i := int64(1); i <= 40; i++ {
-		qh.Record(i * 50_000)
-	}
 	res := &Result{
 		Config: Config{
 			BaseURL: "http://127.0.0.1:0", Streams: []string{"F", "G"},
 			Shape: "zipf:1.0", Domain: 1 << 16, Seed: 42,
 			Workers: 4, Batch: 256, QueueDepth: 64,
-			QueryWorkers: 2, QueryName: "q",
 		},
 		Elapsed: 2 * time.Second,
 		Ingest: SideResult{
-			Requests: 100, Updates: 24_000, Rejected429: 3, Retries: 3, Hist: &ih,
+			Requests: 100, Updates: 24_000, Rejected429: 3, Retries: 3,
 		},
-		Query: SideResult{Requests: 40, Hist: &qh},
 	}
+	res.Server.Ingest.UpdatesEnqueued = 24_000
 	res.Server.Ingest.UpdatesApplied = 24_000
 	res.Server.Ingest.Rejected = 3
-	res.Server.UpdateLatency.Count = 100
 	return res
 }
 
-// TestReportRoundTrip: build → write → read → validate, for both kinds.
+// TestReportRoundTrip: build → write → read → validate.
 func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	res := sampleResult()
-	for _, tc := range []struct {
-		name string
-		rep  *BenchReport
-	}{
-		{"BENCH_ingest.json", IngestReport(res, now)},
-		{"BENCH_query.json", QueryReport(res, now)},
-	} {
-		if err := tc.rep.Validate(); err != nil {
-			t.Fatalf("%s: fresh report invalid: %v", tc.name, err)
-		}
-		path := filepath.Join(dir, tc.name)
-		if err := WriteReport(path, tc.rep); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadReport(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := back.Validate(); err != nil {
-			t.Fatalf("%s: reread report invalid: %v", tc.name, err)
-		}
-		if back.Schema != BenchSchema || back.Kind != tc.rep.Kind {
-			t.Fatalf("%s: identity fields lost: %+v", tc.name, back)
-		}
+	rep := IngestReport(sampleResult(), now)
+	if err := rep.Validate(); err != nil {
+		t.Fatalf("fresh report invalid: %v", err)
 	}
-	// Throughput semantics: updates/sec for ingest, requests/sec for query.
-	if got := IngestReport(res, now).ThroughputPerSec; got != 12_000 {
-		t.Fatalf("ingest throughput %v, want 12000", got)
+	path := filepath.Join(t.TempDir(), "BENCH_ingest.json")
+	if err := WriteReport(path, rep); err != nil {
+		t.Fatal(err)
 	}
-	if got := QueryReport(res, now).ThroughputPerSec; got != 20 {
-		t.Fatalf("query throughput %v, want 20", got)
+	back, err := ReadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("reread report invalid: %v", err)
+	}
+	if back.Schema != BenchSchema || back.Kind != "ingest" || back.Updates != 24_000 {
+		t.Fatalf("identity fields lost: %+v", back)
 	}
 }
 
@@ -86,15 +59,19 @@ func TestReportValidateRejects(t *testing.T) {
 		mutate  func(*BenchReport)
 		errWant string
 	}{
-		{"schema", func(r *BenchReport) { r.Schema = "other/9" }, "schema"},
-		{"kind", func(r *BenchReport) { r.Kind = "mystery" }, "kind"},
+		{"schema", func(r *BenchReport) { r.Schema = "skimsketch-bench/1" }, "schema"},
+		{"kind", func(r *BenchReport) { r.Kind = "query" }, "kind"},
 		{"timestamp", func(r *BenchReport) { r.GeneratedAt = "yesterday" }, "generatedAt"},
 		{"elapsed", func(r *BenchReport) { r.ElapsedSeconds = 0 }, "elapsed"},
 		{"negativeCount", func(r *BenchReport) { r.Retries = -1 }, "negative"},
-		{"latencyUnit", func(r *BenchReport) { r.Latency.Unit = "ms" }, "unit"},
-		{"latencyCount", func(r *BenchReport) { r.Latency.Count++ }, "latency count"},
-		{"percentileOrder", func(r *BenchReport) { r.Latency.P95Ns = r.Latency.P99Ns + 1 }, "monotone"},
 		{"serverEcho", func(r *BenchReport) { r.Server = nil }, "server"},
+		{"updatesApplied", func(r *BenchReport) { r.Server.UpdatesApplied = r.Updates - 1 }, "updatesApplied"},
+		{"tenantRow", func(r *BenchReport) {
+			r.Tenants = []TenantRecon{{Tenant: "t0", UpdatesSent: 5, ServerUpdates: 4}}
+		}, "tenant t0"},
+		{"tenantSum", func(r *BenchReport) {
+			r.Tenants = []TenantRecon{{Tenant: "t0", UpdatesSent: 5, ServerUpdates: 5}}
+		}, "per-tenant"},
 	}
 	for _, tc := range cases {
 		r := IngestReport(sampleResult(), now)
@@ -107,26 +84,6 @@ func TestReportValidateRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.errWant) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.errWant)
 		}
-	}
-}
-
-// TestSummarizeLatencyUsesMergedHistogram: the report's percentiles are
-// the merged histogram's — feeding the same samples through two workers
-// or one must summarize identically.
-func TestSummarizeLatencyUsesMergedHistogram(t *testing.T) {
-	var one, a, b stats.Histogram
-	for i := int64(0); i < 1000; i++ {
-		v := (i * i) % 1_000_000
-		one.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	merged := stats.MergeHistograms(&a, &b)
-	if SummarizeLatency(merged) != SummarizeLatency(&one) {
-		t.Fatal("merged summary differs from single-stream summary")
 	}
 }
 
